@@ -12,8 +12,9 @@
 //                 gathers — at no point does a full feature matrix exist;
 //   * influence — the frontier-partitioned per-node influence sweep
 //                 (PartitionByTwoHopSupport + RunFrontierSweep) on the
-//                 materialised graph; only run at points small enough to
-//                 hold the dense full-graph forward.
+//                 materialised graph; its gradients run over exact 2-hop
+//                 blocks, but the dense bridge (feature matrix and graph
+//                 context) still bounds the points it can run at.
 //
 // Each stage reports wall seconds, the arena peak (logical bytes of live
 // la::Matrix/CsrMatrix/CsrAdjacency buffers, reset per stage) and the
@@ -60,7 +61,7 @@ namespace {
 // One point of a scale sweep. Training and influence are opt-in per point:
 // the generate/build stages stream and never materialise anything dense, so
 // they stretch to 10^7 nodes, while the influence stage needs the dense
-// full-graph forward and is capped at ~10^5.
+// bridge and is capped at ~10^5.
 struct ScalePoint {
   int64_t nodes = 0;
   bool train = false;
@@ -262,8 +263,8 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
     // Damping pinned in the PD regime and a tight iteration cap: the curve
     // tracks sweep wall-time scaling, not solver convergence (the parity
     // story lives in tests/frontier_test.cc). Narrow pools: every lane of
-    // the shared-forward TapePool and the fused replay graph carries
-    // full-graph activations, so width 8 would dominate the memory curve
+    // the shared-forward TapePool and the fused replay graph carries the
+    // train block's activations, so width 8 would weigh on the memory curve
     // with pool buffers instead of the pipeline's own footprint.
     inf_cfg.cg.damping = 1.0;
     inf_cfg.cg.tolerance = 1e-6;

@@ -720,15 +720,34 @@ Var GatherRows(Var a, const std::vector<int>& indices) {
         });
   }
   const bool needs = tape->NeedsGrad(a);
+  const int out_id = tape->num_nodes();
   return MakeOp(tape, std::move(out), needs, {a},
-                [a, indices](Tape& tp, const la::Matrix& g) {
+                [a, indices, out_id](Tape& tp, const la::Matrix& g) {
                   if (!tp.NeedsGrad(a)) return;
                   // Serial scatter: indices may repeat, so rows can collide.
+                  // With a known gradient row support only those output rows
+                  // are scattered (a skipped row adds exact zeros), so a
+                  // seeded backward through a block's self-term gather stays
+                  // O(support) instead of O(gathered rows).
+                  const auto add_row = [&](la::Matrix& da, int k) {
+                    const double* gr = g.row(k);
+                    double* dr = da.row(indices[static_cast<size_t>(k)]);
+                    for (int c = 0; c < g.cols(); ++c) dr[c] += gr[c];
+                  };
+                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
+                  if (supp != nullptr) {
+                    // thread_local scratch: runs once per seed inside the
+                    // pooled per-node loop, which must stay allocation-free.
+                    thread_local std::vector<int> rows;
+                    rows.clear();
+                    for (int k : *supp) rows.push_back(indices[static_cast<size_t>(k)]);
+                    la::Matrix& da = tp.GradRefPartial(a, rows);
+                    for (int k : *supp) add_row(da, k);
+                    return;
+                  }
                   la::Matrix& da = tp.GradRefPartial(a, indices);
                   for (size_t k = 0; k < indices.size(); ++k) {
-                    const double* gr = g.row(static_cast<int>(k));
-                    double* dr = da.row(indices[k]);
-                    for (int c = 0; c < g.cols(); ++c) dr[c] += gr[c];
+                    add_row(da, static_cast<int>(k));
                   }
                 });
 }
@@ -895,10 +914,11 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
   const la::Matrix& hv = h.value();
   const la::Matrix& sl = attn_left.value();
   const la::Matrix& sr = attn_right.value();
-  const int n = edges->num_nodes;
-  PPFR_CHECK_EQ(hv.rows(), n);
-  PPFR_CHECK_EQ(sl.rows(), n);
-  PPFR_CHECK_EQ(sr.rows(), n);
+  const int n = edges->num_dst;
+  PPFR_CHECK_LE(n, edges->num_src);
+  PPFR_CHECK_EQ(hv.rows(), edges->num_src);
+  PPFR_CHECK_EQ(sl.rows(), edges->num_src);
+  PPFR_CHECK_EQ(sr.rows(), edges->num_src);
   PPFR_CHECK_EQ(sl.cols(), heads);
   PPFR_CHECK_EQ(sr.cols(), heads);
   PPFR_CHECK_EQ(hv.cols() % heads, 0);
@@ -965,7 +985,7 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
       [h, attn_left, attn_right, edges, heads, dim, leaky_slope, alpha, z_pos,
        out_id](Tape& tp, const la::Matrix& g) {
         const la::Matrix& hv = tp.Value(h);
-        const int n = edges->num_nodes;
+        const int n = edges->num_dst;
         const bool need_h = tp.NeedsGrad(h);
         const bool need_attn = tp.NeedsGrad(attn_left) || tp.NeedsGrad(attn_right);
 

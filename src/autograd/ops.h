@@ -22,11 +22,14 @@ struct SparseOperand {
 std::shared_ptr<const SparseOperand> MakeSparseOperand(la::CsrMatrix m, bool symmetric);
 
 // Destination-grouped edge list used by the fused GAT attention op. Row i
-// lists the source nodes j that message into i (usually including i itself).
+// lists the source nodes j that message into destination i (usually
+// including i itself). Full-graph edge sets are square; a block hop's is
+// rectangular — destinations are the leading num_dst of num_src source rows.
 struct EdgeSet {
-  int num_nodes = 0;
-  std::vector<int64_t> row_ptr;  // size num_nodes + 1
-  std::vector<int> col_idx;      // concatenated neighbour lists
+  int num_dst = 0;
+  int num_src = 0;
+  std::vector<int64_t> row_ptr;  // size num_dst + 1
+  std::vector<int> col_idx;      // concatenated neighbour lists, each < num_src
 
   int64_t num_edges() const { return static_cast<int64_t>(col_idx.size()); }
 };
@@ -129,7 +132,9 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
 //   z_ij = attn_left(i,h) + attn_right(j,h),  e_ij = LeakyReLU(z_ij, slope)
 //   alpha_ij = softmax_j(e_ij)  over j in N(i)
 //   out_i[h-block] = sum_j alpha_ij * h_j[h-block]
-// `h` is n x (heads*dim); attn_left / attn_right are n x heads.
+// `h` is num_src x (heads*dim) and attn_left / attn_right are num_src x heads
+// over the source rows; destination i reads attn_left at source row i (the
+// block prefix property), and the output has num_dst rows.
 Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
                          const std::shared_ptr<const EdgeSet>& edges, int heads,
                          double leaky_slope);

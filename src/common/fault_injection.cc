@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/check.h"
 
@@ -42,15 +44,27 @@ struct Config {
   std::map<std::string, SiteState> sites;
 };
 
-// Replaced wholesale by ConfigureForTest; old configs are leaked rather than
-// deleted so a racing reader can never touch freed memory. Configs are tiny
-// and reconfiguration is a test-only operation.
+// Replaced wholesale by ConfigureForTest; retired configs stay alive in
+// NewOwnedConfig's owner rather than being deleted, so a racing reader can
+// never touch freed memory. Configs are tiny and reconfiguration is a
+// test-only operation.
 std::atomic<Config*> g_config{nullptr};
 std::atomic<bool> g_enabled{false};
 std::once_flag g_env_once;
 
+// Owns every config ever parsed. Never destroyed, so a site hit during
+// static teardown still reads a live config; it stays reachable, so leak
+// checkers do not report it.
+Config* NewOwnedConfig() {
+  static std::mutex mu;
+  static auto* owner = new std::vector<std::unique_ptr<Config>>();
+  std::lock_guard<std::mutex> lock(mu);
+  owner->push_back(std::make_unique<Config>());
+  return owner->back().get();
+}
+
 Config* ParseSpec(const std::string& spec) {
-  auto config = new Config();
+  Config* config = NewOwnedConfig();
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t end = spec.find(',', pos);

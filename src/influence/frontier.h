@@ -10,9 +10,9 @@
 namespace ppfr::influence {
 
 // One chunk of a frontier-partitioned influence sweep: a set of target nodes
-// whose union of 2-hop supports (the rows their seeded backwards can touch
-// through a 2-layer GNN) stays within the partition's budget, so the chunk's
-// shared-forward gradient gathers stay slab-local.
+// whose union of 2-hop supports (the receptive fields their loss gradients
+// run over through a 2-layer GNN) stays within the partition's budget, so
+// each chunk's work stays support-local.
 struct FrontierChunk {
   std::vector<int> targets;  // ascending node ids
   std::vector<int> support;  // sorted union of the targets' 2-hop supports

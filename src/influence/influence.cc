@@ -14,6 +14,39 @@
 
 namespace ppfr::influence {
 
+// An exact block (nn::GraphContext::ExactBlock) with its feature rows
+// gathered once: the input every node-local influence forward replays.
+struct BlockInput {
+  nn::Block block;
+  la::Matrix features;  // ctx.features rows at block.frontier
+};
+
+namespace {
+
+std::shared_ptr<const BlockInput> MakeBlockInput(const nn::GraphContext& ctx,
+                                                 nn::ModelKind kind,
+                                                 const std::vector<int>& outputs) {
+  auto input = std::make_shared<BlockInput>();
+  input->block = ctx.ExactBlock(kind, outputs);
+  const std::vector<int>& frontier = input->block.frontier;
+  input->features = la::Matrix(static_cast<int>(frontier.size()), ctx.feature_dim());
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const double* src = ctx.features.row(frontier[i]);
+    std::copy(src, src + ctx.feature_dim(), input->features.row(static_cast<int>(i)));
+  }
+  return input;
+}
+
+// Logits over the block's outputs; the features enter as a static constant,
+// so replays never recopy them.
+ag::Var BlockLogits(nn::GnnModel* model, ag::Tape& tape, const BlockInput& input,
+                    int replay_lanes) {
+  return model->ForwardBlock(tape, input.block, tape.StaticConstant(input.features),
+                             replay_lanes);
+}
+
+}  // namespace
+
 InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
                                          const nn::GraphContext& ctx,
                                          std::vector<int> train_nodes,
@@ -27,11 +60,31 @@ InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
   PPFR_CHECK(!train_nodes_.empty());
   params_ = model_->Params();
   train_labels_.reserve(train_nodes_.size());
+  uint64_t digest = 1469598103934665603ULL;  // FNV-1a over the train list
   for (int v : train_nodes_) {
     PPFR_CHECK_GE(v, 0);
     PPFR_CHECK_LT(v, static_cast<int>(labels.size()));
     train_labels_.push_back(labels[v]);
+    digest = (digest ^ static_cast<uint32_t>(v)) * 1099511628211ULL;
   }
+  train_digest_ = std::to_string(digest);
+  train_outputs_ = train_nodes_;
+  std::sort(train_outputs_.begin(), train_outputs_.end());
+  train_outputs_.erase(std::unique(train_outputs_.begin(), train_outputs_.end()),
+                       train_outputs_.end());
+  train_rows_.reserve(train_nodes_.size());
+  for (int v : train_nodes_) {
+    train_rows_.push_back(static_cast<int>(
+        std::lower_bound(train_outputs_.begin(), train_outputs_.end(), v) -
+        train_outputs_.begin()));
+  }
+}
+
+const std::shared_ptr<const BlockInput>& InfluenceCalculator::TrainBlock() {
+  if (train_block_ == nullptr) {
+    train_block_ = MakeBlockInput(ctx_, model_->kind(), train_outputs_);
+  }
+  return train_block_;
 }
 
 int ResolveCgBlock(int configured) {
@@ -67,29 +120,20 @@ int InfluenceCalculator::ResolvedLanes(int num_items) const {
 }
 
 std::vector<double> InfluenceCalculator::TrainingLossGrad() {
+  const BlockInput& input = *TrainBlock();
+  const auto build_loss = [this, &input](ag::Tape& tape) {
+    ag::Var logp = ag::LogSoftmaxRows(BlockLogits(model_, tape, input, 1));
+    const std::vector<double> ones(train_nodes_.size(), 1.0);
+    return ag::WeightedNll(logp, train_rows_, train_labels_, ones,
+                           static_cast<double>(train_nodes_.size()));
+  };
   if (config_.reuse_grad_tape) {
     if (train_grad_graph_ == nullptr) {
-      train_grad_graph_ = std::make_unique<ReusableLossGraph>(
-          [this](ag::Tape& tape) {
-            ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-            ag::Var logp = ag::LogSoftmaxRows(logits);
-            const std::vector<double> ones(train_nodes_.size(), 1.0);
-            return ag::WeightedNll(logp, train_nodes_, train_labels_, ones,
-                                   static_cast<double>(train_nodes_.size()));
-          },
-          params_);
+      train_grad_graph_ = std::make_unique<ReusableLossGraph>(build_loss, params_);
     }
     return train_grad_graph_->Grad();
   }
-  for (ag::Parameter* p : params_) p->ZeroGrad();
-  ag::Tape tape;
-  ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-  ag::Var logp = ag::LogSoftmaxRows(logits);
-  const std::vector<double> ones(train_nodes_.size(), 1.0);
-  ag::Var loss = ag::WeightedNll(logp, train_nodes_, train_labels_, ones,
-                                 static_cast<double>(train_nodes_.size()));
-  tape.Backward(loss);
-  return FlattenGrads(params_);
+  return ReusableLossGraph(build_loss, params_).Grad();
 }
 
 std::vector<double> InfluenceCalculator::FunctionGrad(const FunctionBuilder& build_f) {
@@ -114,19 +158,17 @@ TapePool* InfluenceCalculator::SharedForwardPool() {
   // to the seed count per call, and results are lane-count-invariant bit for
   // bit, so one pool serves sweeps of every size.
   const int lanes = ResolvedLanes(std::numeric_limits<int>::max());
-  // The builder captures the model and context by pointer (never `this`): a
-  // cache-owned pool outlives this calculator and rewarms against the same
-  // model object from a later one.
+  // The builder captures the model by pointer and the block by shared
+  // ownership (never `this`): a cache-owned pool outlives this calculator and
+  // rewarms against the same model object from a later one.
   nn::GnnModel* model = model_;
-  const nn::GraphContext* ctx = &ctx_;
-  const TapePool::Builder builder = [model, ctx](ag::Tape& tape) {
-    ag::Var logits = model->Forward(tape, *ctx, nn::ForwardOptions{});
-    return ag::LogSoftmaxRows(logits);
+  const TapePool::Builder builder = [model, input = TrainBlock()](ag::Tape& tape) {
+    return ag::LogSoftmaxRows(BlockLogits(model, tape, *input, 1));
   };
   if (config_.replay_cache != nullptr) {
     const std::string key =
         "fwd:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) + ":" +
-        std::to_string(lanes);
+        train_digest_ + ":" + std::to_string(lanes);
     forward_pool_ = config_.replay_cache->GetOrCreateTapePool(
         key, [&] { return std::make_unique<TapePool>(builder, params_, lanes); });
   } else {
@@ -137,27 +179,26 @@ TapePool* InfluenceCalculator::SharedForwardPool() {
 }
 
 std::vector<std::vector<double>> InfluenceCalculator::PerNodeLossGradsPooled() {
-  // Seed dL_v/dlogp = -1 at (v, label_v) — exactly the gradient the serial
-  // reference's single-node WeightedNll writes, so the paths stay bitwise
-  // identical without materialising a loss node per seed.
+  // Seed dL_v/dlogp = -1 at (v's block row, label_v) — exactly the gradient
+  // the serial reference's single-node WeightedNll writes, so the paths stay
+  // bitwise identical without materialising a loss node per seed.
   return SharedForwardPool()->PerSeedGrads(
       static_cast<int>(train_nodes_.size()),
       [this](int k, std::vector<int>* rows, std::vector<int>* cols,
              std::vector<double>* values) {
-        rows->push_back(train_nodes_[static_cast<size_t>(k)]);
+        rows->push_back(train_rows_[static_cast<size_t>(k)]);
         cols->push_back(train_labels_[static_cast<size_t>(k)]);
         values->push_back(-1.0);
       });
 }
 
-// The seed implementation, preserved verbatim as the parity oracle and the
-// "before" side of bench_influence_engine: one growing tape, a full
-// ZeroAllGrads sweep and a Parameter::grad round-trip per node.
+// The seed implementation, preserved as the parity oracle and the "before"
+// side of bench_influence_engine: one growing tape over the train block, a
+// full ZeroAllGrads sweep and a Parameter::grad round-trip per node.
 std::vector<std::vector<double>>
 InfluenceCalculator::PerNodeLossGradsSerialReference() {
   ag::Tape tape;
-  ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-  ag::Var logp = ag::LogSoftmaxRows(logits);
+  ag::Var logp = ag::LogSoftmaxRows(BlockLogits(model_, tape, *TrainBlock(), 1));
   la::Matrix seed(1, 1);
   seed(0, 0) = 1.0;
   std::vector<std::vector<double>> grads;
@@ -165,12 +206,26 @@ InfluenceCalculator::PerNodeLossGradsSerialReference() {
   for (size_t k = 0; k < train_nodes_.size(); ++k) {
     for (ag::Parameter* p : params_) p->ZeroGrad();
     tape.ZeroAllGrads();
-    ag::Var loss_v = ag::WeightedNll(logp, {train_nodes_[k]}, {train_labels_[k]},
+    ag::Var loss_v = ag::WeightedNll(logp, {train_rows_[k]}, {train_labels_[k]},
                                      {1.0}, 1.0);
     tape.BackwardWithSeed(loss_v, seed);
     grads.push_back(FlattenGrads(params_));
   }
   return grads;
+}
+
+std::vector<double> InfluenceCalculator::NodeLossGradOverOwnBlock(int t) {
+  const std::shared_ptr<const BlockInput> input =
+      MakeBlockInput(ctx_, model_->kind(), {t});
+  const int label = labels_[static_cast<size_t>(t)];
+  return ReusableLossGraph(
+             [this, &input, label](ag::Tape& tape) {
+               ag::Var logp =
+                   ag::LogSoftmaxRows(BlockLogits(model_, tape, *input, 1));
+               return ag::WeightedNll(logp, {0}, {label}, {1.0}, 1.0);
+             },
+             params_)
+      .Grad();
 }
 
 BatchGradFn InfluenceCalculator::BatchTrainGrad() {
@@ -199,9 +254,9 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
     // Captures are by value / stable pointer (never `this`): a cache-owned
     // pool outlives this calculator.
     nn::GnnModel* model = model_;
-    const nn::GraphContext* ctx = &ctx_;
     const GradLanePool::WideLaneFactory factory =
-        [model, ctx, nodes = train_nodes_, node_labels = train_labels_](int w) {
+        [model, input = TrainBlock(), rows = train_rows_,
+         node_labels = train_labels_](int w) {
           GradLane lane;
           std::unique_ptr<nn::GnnModel> clone = model->Clone();
           nn::GnnModel* m = clone.get();
@@ -209,14 +264,12 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
           lane.width = w;
           lane.params = m->Params();
           lane.graph = std::make_unique<ReusableLossGraph>(
-              [m, ctx, nodes, node_labels, w](ag::Tape& tape) {
-                nn::ForwardOptions options;
-                options.replay_lanes = w;
-                ag::Var logits = m->Forward(tape, *ctx, options);
-                ag::Var logp = ag::LogSoftmaxRowsLanes(logits, w);
-                const std::vector<double> ones(nodes.size(), 1.0);
-                return ag::WeightedNllLanes(logp, nodes, node_labels, ones,
-                                            static_cast<double>(nodes.size()), w);
+              [m, input, rows, node_labels, w](ag::Tape& tape) {
+                ag::Var logp =
+                    ag::LogSoftmaxRowsLanes(BlockLogits(m, tape, *input, w), w);
+                const std::vector<double> ones(rows.size(), 1.0);
+                return ag::WeightedNllLanes(logp, rows, node_labels, ones,
+                                            static_cast<double>(rows.size()), w);
               },
               lane.params);
           lane.owner = std::shared_ptr<void>(std::move(clone));
@@ -225,7 +278,8 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
     if (config_.replay_cache != nullptr) {
       const std::string key =
           "lanes:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) +
-          ":" + std::to_string(lanes) + "x" + std::to_string(width);
+          ":" + train_digest_ + ":" + std::to_string(lanes) + "x" +
+          std::to_string(width);
       grad_lane_pool_ = config_.replay_cache->GetOrCreateGradLanes(key, [&] {
         return std::make_unique<GradLanePool>(factory, lanes, width);
       });
@@ -298,18 +352,9 @@ std::vector<std::vector<double>> InfluenceCalculator::InfluenceOnNodeLosses(
     PPFR_CHECK_GE(t, 0);
     PPFR_CHECK_LT(t, static_cast<int>(labels_.size()));
   }
-  // All target-node loss gradients ∇θL_t from the SAME shared forward pass
-  // (and pool) as the per-train-node sweep — previously a second identical
-  // TapePool was built and warmed here.
-  const std::vector<std::vector<double>> rhs = SharedForwardPool()->PerSeedGrads(
-      static_cast<int>(target_nodes.size()),
-      [this, &target_nodes](int k, std::vector<int>* rows, std::vector<int>* cols,
-                            std::vector<double>* values) {
-        const int t = target_nodes[static_cast<size_t>(k)];
-        rows->push_back(t);
-        cols->push_back(labels_[static_cast<size_t>(t)]);
-        values->push_back(-1.0);
-      });
+  std::vector<std::vector<double>> rhs;
+  rhs.reserve(target_nodes.size());
+  for (int t : target_nodes) rhs.push_back(NodeLossGradOverOwnBlock(t));
   return ContractAgainstNodeGrads(SolveRhsBlock(MultiVector::FromColumns(rhs)));
 }
 

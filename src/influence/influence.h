@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "influence/hvp.h"
@@ -90,6 +91,9 @@ struct BlockSolveStats {
   void Reset() { *this = BlockSolveStats(); }
 };
 
+// An exact block with its gathered feature rows (influence.cc).
+struct BlockInput;
+
 // Per-training-node influence on scalar evaluation functions f of the
 // model's predictions:
 //   I_f(v) = -∇θ f(θ*)ᵀ H⁻¹ ∇θ L_v(θ*).
@@ -101,6 +105,13 @@ struct BlockSolveStats {
 //
 // One forward pass is reused for all per-node loss gradients via repeated
 // seeded backward passes; H⁻¹∇f is a single damped-CG solve per f.
+//
+// Every node-local gradient runs over an exact 2-hop block instead of the
+// full graph: the training loss, its probe-point replays and the per-node
+// ∇L_v over the train set's block, and each target's ∇L_t over its own
+// block. Only the evaluation functions f (FunctionGrad) read every node and
+// stay full-graph. Block gradients equal the full-graph ones up to float
+// summation order.
 class InfluenceCalculator {
  public:
   InfluenceCalculator(nn::GnnModel* model, const nn::GraphContext& ctx,
@@ -122,10 +133,10 @@ class InfluenceCalculator {
       const std::vector<FunctionBuilder>& builders);
 
   // Influence of every training node on each target node's individual loss:
-  // out[t][v] = I_{L_t}(w_v). The target-node gradient RHSs are gathered
-  // from one shared forward pass (TapePool) and solved in blocks of
+  // out[t][v] = I_{L_t}(w_v). Each target's gradient RHS comes from a
+  // forward over its own exact block, and the RHSs are solved in blocks of
   // cg_block — the per-node influence sweep the paper's correlation study
-  // (Table 2) runs, now BLAS-3 end to end.
+  // (Table 2) runs, BLAS-3 end to end.
   std::vector<std::vector<double>> InfluenceOnNodeLosses(
       const std::vector<int>& target_nodes);
 
@@ -179,6 +190,12 @@ class InfluenceCalculator {
   std::vector<double> TrainingLossGrad();
   // Flat ∇θ f for an arbitrary builder.
   std::vector<double> FunctionGrad(const FunctionBuilder& build_f);
+  // The train set's exact block with its gathered features (built on first
+  // use; shared with cache-owned pools that may outlive this calculator).
+  const std::shared_ptr<const BlockInput>& TrainBlock();
+  // Flat ∇θ L_t for target t, over t's own exact block — so a target's
+  // right-hand side is a pure function of t, whatever else is solved with it.
+  std::vector<double> NodeLossGradOverOwnBlock(int t);
   std::vector<std::vector<double>> PerNodeLossGradsPooled();
   std::vector<std::vector<double>> PerNodeLossGradsSerialReference();
   // Lanes for pooled per-seed backward / batched probe gradients.
@@ -199,6 +216,13 @@ class InfluenceCalculator {
   std::vector<int> train_nodes_;
   std::vector<int> train_labels_;
   std::vector<int> labels_;  // full label vector (target-node RHS seeds)
+  // The train set's exact block over its distinct nodes in ascending order
+  // (built on first use), each train node's row among the block's outputs,
+  // and a digest of the train list that keys the block-bound replay pools.
+  std::shared_ptr<const BlockInput> train_block_;
+  std::vector<int> train_outputs_;
+  std::vector<int> train_rows_;
+  std::string train_digest_;
   InfluenceConfig config_;
   std::vector<ag::Parameter*> params_;
   std::vector<std::vector<double>> per_node_grads_;       // lazily filled cache

@@ -1107,9 +1107,14 @@ class SimdBackend final : public ParallelBackend {
 // Registry
 // ---------------------------------------------------------------------------
 
+// The process-lifetime backend, deliberately never destroyed. A static
+// destructor would join the ParallelBackend's pool workers at exit — but a
+// process forked from a multi-threaded parent (a death-test child that calls
+// std::exit) has no such workers, and joining them crashes it. The slot stays
+// reachable, so leak checkers do not report it.
 std::unique_ptr<Backend>& BackendSlot() {
-  static std::unique_ptr<Backend> slot;
-  return slot;
+  static auto* slot = new std::unique_ptr<Backend>();
+  return *slot;
 }
 
 // Worker-thread override installed by ThreadLocalBackendGuard.

@@ -22,7 +22,8 @@ GatConv::GatConv(int in_dim, int out_dim, int heads, bool concat, uint64_t seed)
   }
 }
 
-ag::Var GatConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
+ag::Var GatConv::Forward(ag::Tape& tape,
+                         const std::shared_ptr<const ag::EdgeSet>& edges, ag::Var x,
                          int lanes) {
   // Per-head projections H_h and attention scores (lane-wide when lanes > 1),
   // then one fused softmax-aggregate over all heads per lane.
@@ -47,8 +48,7 @@ ag::Var GatConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
     ag::Var h_all = heads_ == 1 ? hf[0] : ag::ConcatCols(hf);
     ag::Var sl = heads_ == 1 ? ls[0] : ag::ConcatCols(ls);
     ag::Var sr = heads_ == 1 ? rs[0] : ag::ConcatCols(rs);
-    ag::Var out = ag::EdgeSoftmaxAggregate(h_all, sl, sr, ctx.edges_with_self, heads_,
-                                           kLeakySlope);
+    ag::Var out = ag::EdgeSoftmaxAggregate(h_all, sl, sr, edges, heads_, kLeakySlope);
     if (concat_ || heads_ == 1) return out;
 
     // Average heads: out is n x (heads*out_dim); sum the head blocks.

@@ -1,11 +1,11 @@
 #ifndef PPFR_NN_GAT_CONV_H_
 #define PPFR_NN_GAT_CONV_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "nn/graph_context.h"
 
 namespace ppfr::nn {
 
@@ -21,12 +21,15 @@ class GatConv {
   GatConv(const GatConv&) = default;
   GatConv& operator=(const GatConv&) = default;
 
+  // `edges` is the attention support: the context's self-looped edge set, or
+  // a block hop's rows of it (destinations are the leading rows of `x`).
   // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward):
   // the per-head projections and attention-score GEMMs run lane-wide, then
   // the edge softmax-aggregate — whose per-row softmax would mix lanes — runs
   // per lane on sliced windows, and the lane outputs concatenate back into
   // the lane-major wide layout.
-  ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x, int lanes = 1);
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
+                  ag::Var x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 

@@ -12,15 +12,16 @@ GcnConv::GcnConv(int in_dim, int out_dim, uint64_t seed)
               }()),
       bias_("gcn.bias", Zeros(1, out_dim)) {}
 
-ag::Var GcnConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
-                         int lanes) {
+ag::Var GcnConv::Forward(ag::Tape& tape,
+                         const std::shared_ptr<const ag::SparseOperand>& adj,
+                         ag::Var x, int lanes) {
   ag::Var w = tape.Leaf(&weight_);
   ag::Var b = tape.Leaf(&bias_);
   // MatMulLanes is the only lane-aware op the layer needs: SpMM and the bias
   // broadcast are column-count-invariant per element, so the lane-wide
   // activations flow through them unchanged (lanes == 1 is exactly MatMul).
   ag::Var xw = ag::MatMulLanes(x, w, lanes);
-  ag::Var propagated = ag::SpMM(ctx.gcn_adj, xw);
+  ag::Var propagated = ag::SpMM(adj, xw);
   return ag::AddRowVec(propagated, b);
 }
 

@@ -2,11 +2,11 @@
 #define PPFR_NN_GCN_CONV_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "nn/graph_context.h"
 
 namespace ppfr::nn {
 
@@ -19,11 +19,14 @@ class GcnConv {
   GcnConv(const GcnConv&) = default;
   GcnConv& operator=(const GcnConv&) = default;
 
-  // `lanes` > 1 runs the fused-replay lane-wide graph: weight/bias must be
-  // column-widened (nn::WidenModelParams) and `x` is lane-shared (layer 1
-  // features) or lane-wide (a previous lane-wide layer's output). lanes == 1
-  // is the ordinary narrow layer.
-  ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x, int lanes = 1);
+  // `adj` is the propagation operator: the context's Â, or a block hop's
+  // rows of it (output rows over the input frontier). `lanes` > 1 runs the
+  // fused-replay lane-wide graph: weight/bias must be column-widened
+  // (nn::WidenModelParams) and `x` is lane-shared (layer 1 features) or
+  // lane-wide (a previous lane-wide layer's output). lanes == 1 is the
+  // ordinary narrow layer.
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& adj,
+                  ag::Var x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 

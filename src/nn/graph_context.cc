@@ -13,7 +13,8 @@ GraphContext GraphContext::Build(graph::Graph g, la::Matrix features) {
 
   auto edges = std::make_shared<ag::EdgeSet>();
   const int n = g.num_nodes();
-  edges->num_nodes = n;
+  edges->num_dst = n;
+  edges->num_src = n;
   edges->row_ptr.assign(n + 1, 0);
   for (int v = 0; v < n; ++v) {
     edges->row_ptr[v + 1] = edges->row_ptr[v] + g.Degree(v) + 1;  // +1 self-loop
@@ -29,6 +30,38 @@ GraphContext GraphContext::Build(graph::Graph g, la::Matrix features) {
   ctx.graph = std::move(g);
   ctx.features = std::move(features);
   return ctx;
+}
+
+Block GraphContext::ExactBlock(ModelKind kind, const std::vector<int>& outputs) const {
+  for (int v : outputs) {
+    PPFR_CHECK_GE(v, 0);
+    PPFR_CHECK_LT(v, num_nodes());
+  }
+  // The kind's operator as global CSR rows; attention edges carry no values
+  // and keep the context's order within each row, so every destination's
+  // softmax sums in the full-graph order.
+  const std::vector<int64_t>* row_ptr = nullptr;
+  const std::vector<int>* col_idx = nullptr;
+  const std::vector<double>* values = nullptr;
+  if (kind == ModelKind::kGat) {
+    row_ptr = &edges_with_self->row_ptr;
+    col_idx = &edges_with_self->col_idx;
+  } else {
+    const la::CsrMatrix& op = kind == ModelKind::kGcn ? gcn_adj->mat : mean_adj->mat;
+    row_ptr = &op.row_ptr();
+    col_idx = &op.col_idx();
+    values = &op.values();
+  }
+  return ExpandBlock(
+      kind, outputs, /*num_hops=*/2,
+      [&](int /*hop*/, int v, std::vector<int>* sources, std::vector<double>* weights) {
+        const size_t begin = static_cast<size_t>((*row_ptr)[v]);
+        const size_t end = static_cast<size_t>((*row_ptr)[v + 1]);
+        sources->assign(col_idx->begin() + begin, col_idx->begin() + end);
+        if (values != nullptr) {
+          weights->assign(values->begin() + begin, values->begin() + end);
+        }
+      });
 }
 
 std::shared_ptr<const ag::SparseOperand> GraphContext::SampledMeanAdj(int fanout,

@@ -2,11 +2,13 @@
 #define PPFR_NN_GRAPH_CONTEXT_H_
 
 #include <memory>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "la/matrix.h"
+#include "nn/block.h"
 
 namespace ppfr::nn {
 
@@ -30,6 +32,15 @@ struct GraphContext {
 
   // Builds all operators from a graph + feature matrix.
   static GraphContext Build(graph::Graph g, la::Matrix features);
+
+  // The exact 2-hop block of `outputs` (distinct node ids, kept in call order
+  // as the block's output rows) for a `kind` model: each hop slices the rows
+  // of that kind's own operator — Â rows for GCN (so the full-graph degree
+  // normalisation is kept), neighbour-mean rows for GraphSAGE, and the
+  // self-looped attention edges for GAT, restricted to the hop's destination
+  // rows. A block forward therefore equals the full-graph forward on the
+  // output rows up to float summation order.
+  Block ExactBlock(ModelKind kind, const std::vector<int>& outputs) const;
 
   // Per-epoch sampled GraphSAGE aggregator (fanout neighbours per node).
   std::shared_ptr<const ag::SparseOperand> SampledMeanAdj(int fanout, Rng* rng) const;

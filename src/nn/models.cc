@@ -20,14 +20,12 @@ std::string ModelKindName(ModelKind kind) {
   return "?";
 }
 
-ag::Var GnnModel::ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                 ag::Var x) {
-  (void)tape;
-  (void)block;
-  (void)x;
-  PPFR_CHECK(false) << ModelKindName(kind())
-                    << " has no sampled mini-batch forward path";
-  return x;
+void GnnModel::CheckBlock(const Block& block, ag::Var x) const {
+  PPFR_CHECK(block.kind == kind())
+      << ModelKindName(kind()) << " cannot run a " << ModelKindName(block.kind)
+      << " block";
+  PPFR_CHECK_EQ(block.hops.size(), size_t{2}) << "two-layer models need 2-hop blocks";
+  PPFR_CHECK_EQ(x.value().rows(), block.num_inputs());
 }
 
 la::Matrix GnnModel::Logits(const GraphContext& ctx) {
@@ -46,10 +44,17 @@ Gcn::Gcn(int in_dim, int hidden_dim, int num_classes, uint64_t seed)
     : conv1_(in_dim, hidden_dim, seed), conv2_(hidden_dim, num_classes, seed + 101) {}
 
 ag::Var Gcn::Forward(ag::Tape& tape, const GraphContext& ctx,
-                     const ForwardOptions& options) {
+                     const ForwardOptions& /*options*/) {
   ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(conv1_.Forward(tape, ctx, x, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.replay_lanes);
+  ag::Var h = ag::Relu(conv1_.Forward(tape, ctx.gcn_adj, x));
+  return conv2_.Forward(tape, ctx.gcn_adj, h);
+}
+
+ag::Var Gcn::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                          int replay_lanes) {
+  CheckBlock(block, x);
+  ag::Var h = ag::Relu(conv1_.Forward(tape, block.hops[0].agg, x, replay_lanes));
+  return conv2_.Forward(tape, block.hops[1].agg, h, replay_lanes);
 }
 
 std::vector<ag::Parameter*> Gcn::Params() {
@@ -67,10 +72,17 @@ Gat::Gat(int in_dim, int hidden_dim, int num_classes, int heads, uint64_t seed)
       conv2_(hidden_dim * heads, num_classes, 1, /*concat=*/false, seed + 101) {}
 
 ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
-                     const ForwardOptions& options) {
+                     const ForwardOptions& /*options*/) {
   ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Elu(conv1_.Forward(tape, ctx, x, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.replay_lanes);
+  ag::Var h = ag::Elu(conv1_.Forward(tape, ctx.edges_with_self, x));
+  return conv2_.Forward(tape, ctx.edges_with_self, h);
+}
+
+ag::Var Gat::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                          int replay_lanes) {
+  CheckBlock(block, x);
+  ag::Var h = ag::Elu(conv1_.Forward(tape, block.hops[0].edges, x, replay_lanes));
+  return conv2_.Forward(tape, block.hops[1].edges, h, replay_lanes);
 }
 
 std::vector<ag::Parameter*> Gat::Params() {
@@ -88,23 +100,18 @@ GraphSage::GraphSage(int in_dim, int hidden_dim, int num_classes, uint64_t seed)
 
 ag::Var GraphSage::Forward(ag::Tape& tape, const GraphContext& ctx,
                            const ForwardOptions& options) {
+  const auto& agg =
+      options.sage_aggregator != nullptr ? options.sage_aggregator : ctx.mean_adj;
   ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(
-      conv1_.Forward(tape, ctx, x, options.sage_aggregator, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.sage_aggregator, options.replay_lanes);
+  ag::Var h = ag::Relu(conv1_.Forward(tape, agg, x));
+  return conv2_.Forward(tape, agg, h);
 }
 
-ag::Var GraphSage::ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                  ag::Var x) {
-  PPFR_CHECK_EQ(block.hops.size(), size_t{2})
-      << "two-layer GraphSAGE needs a 2-hop sampled block";
-  PPFR_CHECK_EQ(x.value().rows(), block.num_inputs());
-  // The hop aggregators are local (frontier-indexed) operators; asymmetric,
-  // so the operand carries an explicit transpose for the backward pass.
-  ag::Var h = ag::Relu(conv1_.ForwardBlock(
-      tape, x, ag::MakeSparseOperand(block.hops[0].agg, /*symmetric=*/false)));
-  return conv2_.ForwardBlock(
-      tape, h, ag::MakeSparseOperand(block.hops[1].agg, /*symmetric=*/false));
+ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                                int replay_lanes) {
+  CheckBlock(block, x);
+  ag::Var h = ag::Relu(conv1_.Forward(tape, block.hops[0].agg, x, replay_lanes));
+  return conv2_.Forward(tape, block.hops[1].agg, h, replay_lanes);
 }
 
 std::vector<ag::Parameter*> GraphSage::Params() {

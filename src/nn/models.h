@@ -6,28 +6,20 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "nn/block.h"
 #include "nn/gat_conv.h"
 #include "nn/gcn_conv.h"
 #include "nn/graph_context.h"
 #include "nn/sage_conv.h"
-#include "nn/sampler.h"
 
 namespace ppfr::nn {
-
-enum class ModelKind { kGcn, kGat, kGraphSage };
 
 std::string ModelKindName(ModelKind kind);
 
 // Per-forward options. `sage_aggregator` carries the per-epoch sampled
-// neighbour mean for GraphSAGE training passes. `replay_lanes` > 1 builds the
-// lane-wide graph of the fused multi-point tape replay: every parameter must
-// have been widened to `lanes` column blocks (WidenModelParams), the logits
-// come out (n x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
-// and each lane is bitwise identical to a replay_lanes == 1 forward at that
-// lane's parameter point.
+// neighbour mean for GraphSAGE training passes.
 struct ForwardOptions {
   std::shared_ptr<const ag::SparseOperand> sage_aggregator;
-  int replay_lanes = 1;
 };
 
 // A node-classification GNN. Forward returns raw logits (n x classes); the
@@ -38,13 +30,18 @@ class GnnModel {
 
   virtual ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                           const ForwardOptions& options) = 0;
-  // Mini-batch forward over a sampled k-hop block (nn/sampler.h): `x` holds
-  // the gathered features of block.frontier; the result has
-  // block.num_targets() rows, aligned with the batch's target nodes. Only
-  // architectures whose layers aggregate locally can run this way — the base
-  // implementation aborts; GraphSage overrides it.
-  virtual ag::Var ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                 ag::Var x);
+  // Forward over a 2-hop block of this model's kind (nn/block.h): `x` holds
+  // the features of block.frontier; the result has block.num_targets() rows,
+  // aligned with the block's output nodes. Over an exact block
+  // (GraphContext::ExactBlock) the output rows equal Forward's up to float
+  // summation order. `replay_lanes` > 1 builds the lane-wide graph of the
+  // fused multi-point tape replay: every parameter must have been widened to
+  // `replay_lanes` column blocks (WidenModelParams), the logits come out
+  // (rows x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
+  // and each lane is bitwise identical to a replay_lanes == 1 forward at that
+  // lane's parameter point.
+  virtual ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                               int replay_lanes) = 0;
   virtual std::vector<ag::Parameter*> Params() = 0;
   virtual ModelKind kind() const = 0;
   // Deep copy (used to keep the vanilla model while fine-tuning a clone).
@@ -57,6 +54,10 @@ class GnnModel {
   la::Matrix Logits(const GraphContext& ctx);
   // Softmax probabilities of Logits().
   la::Matrix PredictProbs(const GraphContext& ctx);
+
+ protected:
+  // CHECKs that `block` is a 2-hop block of this model's kind over `x`.
+  void CheckBlock(const Block& block, ag::Var x) const;
 };
 
 // Two-layer GCN: ReLU(Â X W1) -> Â H W2.
@@ -66,6 +67,8 @@ class Gcn final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                       int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGcn; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -82,6 +85,8 @@ class Gat final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                       int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGat; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -98,8 +103,8 @@ class GraphSage final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  ag::Var ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                         ag::Var x) override;
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+                       int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGraphSage; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -114,8 +119,8 @@ std::unique_ptr<GnnModel> MakeModel(ModelKind kind, int in_dim, int num_classes,
                                     uint64_t seed);
 
 // Reshapes every parameter of `model` (value and grad) from (r x c) to
-// (r x c·lanes) zeros, the column-blocked layout that a
-// ForwardOptions::replay_lanes == lanes forward consumes. The widened values
+// (r x c·lanes) zeros, the column-blocked layout that a ForwardBlock with
+// replay_lanes == lanes consumes. The widened values
 // are meaningless until the caller scatters per-lane parameter points into
 // the column blocks (influence::GradLanePool does this per replay chunk) —
 // widening is a layout change, not a broadcast.

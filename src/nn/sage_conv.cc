@@ -16,29 +16,24 @@ SageConv::SageConv(int in_dim, int out_dim, uint64_t seed)
       weight_neigh_("sage.weight_neigh", Glorot(in_dim, out_dim, seed + 1)),
       bias_("sage.bias", Zeros(1, out_dim)) {}
 
-ag::Var SageConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
-                          const std::shared_ptr<const ag::SparseOperand>& aggregator,
-                          int lanes) {
-  const auto& agg = aggregator != nullptr ? aggregator : ctx.mean_adj;
-  // Only the weight GEMMs contract over columns; SpMM, Add and the bias
-  // broadcast pass lane-wide activations through unchanged.
-  ag::Var self_term = ag::MatMulLanes(x, tape.Leaf(&weight_self_), lanes);
-  ag::Var neigh_mean = ag::SpMM(agg, x);
-  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
-  return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
-}
-
-ag::Var SageConv::ForwardBlock(ag::Tape& tape, ag::Var x,
-                               const std::shared_ptr<const ag::SparseOperand>& agg) {
+ag::Var SageConv::Forward(ag::Tape& tape,
+                          const std::shared_ptr<const ag::SparseOperand>& agg,
+                          ag::Var x, int lanes) {
   PPFR_CHECK(agg != nullptr);
   const int num_out = agg->mat.rows();
   PPFR_CHECK_LE(num_out, x.value().rows());
   PPFR_CHECK_EQ(agg->mat.cols(), x.value().rows());
-  std::vector<int> prefix(static_cast<size_t>(num_out));
-  for (int i = 0; i < num_out; ++i) prefix[static_cast<size_t>(i)] = i;
-  ag::Var self_term =
-      ag::MatMul(ag::GatherRows(x, prefix), tape.Leaf(&weight_self_));
-  ag::Var neigh_term = ag::MatMul(ag::SpMM(agg, x), tape.Leaf(&weight_neigh_));
+  ag::Var self_in = x;
+  if (num_out < x.value().rows()) {
+    std::vector<int> prefix(static_cast<size_t>(num_out));
+    for (int i = 0; i < num_out; ++i) prefix[static_cast<size_t>(i)] = i;
+    self_in = ag::GatherRows(x, prefix);
+  }
+  // Only the weight GEMMs contract over columns; GatherRows, SpMM, Add and
+  // the bias broadcast pass lane-wide activations through unchanged.
+  ag::Var self_term = ag::MatMulLanes(self_in, tape.Leaf(&weight_self_), lanes);
+  ag::Var neigh_mean = ag::SpMM(agg, x);
+  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "nn/graph_context.h"
 
 namespace ppfr::nn {
 
@@ -21,20 +20,14 @@ class SageConv {
   SageConv(const SageConv&) = default;
   SageConv& operator=(const SageConv&) = default;
 
-  // `aggregator` overrides the context's full-graph neighbour mean when
-  // non-null (used for sampled training passes). `lanes` > 1 runs the
-  // fused-replay lane-wide graph (see GcnConv::Forward).
-  ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
-                  const std::shared_ptr<const ag::SparseOperand>& aggregator,
-                  int lanes = 1);
-
-  // Mini-batch block variant: `x` holds activations over an input frontier
-  // whose leading agg->mat.rows() rows are the output frontier (the sampler's
-  // prefix property), so the self term is a GatherRows of that prefix and the
-  // neighbour term is the local sampled mean `agg` applied to the whole
-  // frontier. Output has agg->mat.rows() rows.
-  ag::Var ForwardBlock(ag::Tape& tape, ag::Var x,
-                       const std::shared_ptr<const ag::SparseOperand>& agg);
+  // `agg` is the neighbour-mean operator over the rows of `x`: the context's
+  // full-graph mean, a per-epoch sampled one, or a block hop's. A block hop
+  // has fewer output rows than `x` — its outputs are the leading rows of the
+  // input frontier (the block prefix property) — so the self term then reads
+  // that prefix. `lanes` > 1 runs the fused-replay lane-wide graph (see
+  // GcnConv::Forward).
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& agg,
+                  ag::Var x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "graph/csr_builder.h"
-#include "la/csr_matrix.h"
+#include "nn/block.h"
 
 namespace ppfr::nn {
 
@@ -24,31 +24,6 @@ struct SamplerConfig {
   uint64_t seed = 1;
 };
 
-// One hop of a sampled block: a local row-stochastic aggregation operator
-// mapping activations over the input frontier F_h (agg cols) to the output
-// frontier F_{h+1} (agg rows). Row o averages the <= fanout sampled
-// neighbours of frontier node o with weight 1/k.
-struct SampledHop {
-  la::CsrMatrix agg;
-  int num_in() const { return agg.cols(); }
-  int num_out() const { return agg.rows(); }
-};
-
-// A k-hop mini-batch block. `frontier` holds global node ids with the PREFIX
-// property F_{num_hops} ⊆ … ⊆ F_1 ⊆ F_0 = frontier, where F_h is the
-// leading hop_sizes[h] entries and F_{num_hops} is exactly `targets` in call
-// order. The prefix property is what lets a SAGE layer's self-term be a
-// GatherRows of the leading rows of its input activations. `hops` is in
-// forward order: layer h consumes activations over F_h and produces F_{h+1}.
-struct SampledBlock {
-  std::vector<int> frontier;
-  std::vector<int> hop_sizes;  // num_hops + 1 entries, non-increasing
-  std::vector<SampledHop> hops;
-
-  int num_inputs() const { return hop_sizes.front(); }
-  int num_targets() const { return hop_sizes.back(); }
-};
-
 // Fanout-capped k-hop block sampler over a CSR adjacency (non-owning).
 // Every (hop, node) pair draws from its own counter-based RNG stream derived
 // from (seed, epoch, batch, hop, node) — the sampled block is a pure function
@@ -61,11 +36,11 @@ class NeighborSampler {
 
   const SamplerConfig& config() const { return config_; }
 
-  // Builds the block for one mini-batch of target nodes. Sampled neighbours
-  // are kept in ascending node-id order, so the frontier layout itself is
-  // canonical.
-  SampledBlock SampleBlock(const std::vector<int>& targets, int epoch,
-                           int batch) const;
+  // Builds the GraphSAGE block for one mini-batch of target nodes: each hop
+  // operator row averages the <= fanout sampled neighbours of its output node
+  // with weight 1/k. Sampled neighbours are kept in ascending node-id order,
+  // so the frontier layout itself is canonical.
+  Block SampleBlock(const std::vector<int>& targets, int epoch, int batch) const;
 
   // Deterministically shuffles `nodes` for `epoch` and chunks them into
   // batches of `batch_nodes` (last batch may be short); batch_nodes <= 0

@@ -124,7 +124,7 @@ TrainStats TrainSampled(GnnModel* model, const SampledTrainSpec& spec,
     double epoch_loss = 0.0;
     for (size_t b = 0; b < batches.size(); ++b) {
       const std::vector<int>& batch = batches[b];
-      const SampledBlock block =
+      const Block block =
           sampler.SampleBlock(batch, epoch, static_cast<int>(b));
 
       std::vector<int> rows(batch.size());
@@ -142,7 +142,7 @@ TrainStats TrainSampled(GnnModel* model, const SampledTrainSpec& spec,
       // each step records a fresh tape — reuse_tape is a full-batch feature.
       ag::Tape tape;
       ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-      ag::Var logits = model->ForwardSampled(tape, block, x);
+      ag::Var logits = model->ForwardBlock(tape, block, x, /*replay_lanes=*/1);
       ag::Var logp = ag::LogSoftmaxRows(logits);
       ag::Var loss = ag::WeightedNll(logp, rows, labels, weights,
                                      static_cast<double>(batch.size()));
@@ -182,10 +182,10 @@ la::Matrix SampledLogits(GnnModel* model, const SampledTrainSpec& spec,
                            ? std::min(nodes.size(), begin + static_cast<size_t>(batch_nodes))
                            : nodes.size();
     const std::vector<int> batch(nodes.begin() + begin, nodes.begin() + end);
-    const SampledBlock block = sampler.SampleBlock(batch, 0, 0);
+    const Block block = sampler.SampleBlock(batch, 0, 0);
     ag::Tape tape;
     ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-    ag::Var logits = model->ForwardSampled(tape, block, x);
+    ag::Var logits = model->ForwardBlock(tape, block, x, /*replay_lanes=*/1);
     const la::Matrix& vals = logits.value();
     if (out.rows() == 0) {
       out = la::Matrix(static_cast<int>(nodes.size()), vals.cols());

@@ -21,10 +21,13 @@
 namespace ppfr::runner {
 namespace {
 
-// Bumped whenever any stage payload layout or this header layout changes;
-// old entries then read as plain misses and are rewritten.
+// Bumped whenever any stage payload layout or this header layout changes, or
+// when the values a stage computes change; old entries then read as plain
+// misses and are rewritten.
 // v2: FrOutput/MethodRun payloads gained the block-CG convergence counters.
-constexpr uint32_t kFormatVersion = 2;
+// v3: influence gradients run over exact 2-hop blocks, so FR values (and the
+//     cells trained on them) move in the last bits.
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint64_t kMagic = 0x31435252524650ULL;  // "PFRRRC1" little-endian
 
 constexpr const char* kIndexFile = "cache-index.txt";

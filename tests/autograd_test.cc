@@ -447,7 +447,8 @@ TEST(GradCheckTest, EdgeSoftmaxAggregate) {
   Parameter sr = MakeParam("sr", n, heads, &rng);
   // Small graph with self-loops, destination-grouped.
   auto edges = std::make_shared<EdgeSet>();
-  edges->num_nodes = n;
+  edges->num_dst = n;
+  edges->num_src = n;
   const std::vector<std::vector<int>> nbrs{{0, 1, 2}, {1, 0}, {2, 0, 3}, {3, 2, 4}, {4, 3}};
   edges->row_ptr.assign(n + 1, 0);
   for (int i = 0; i < n; ++i) {
@@ -473,7 +474,8 @@ TEST(EdgeSoftmaxAggregateTest, UniformAttentionAverages) {
   h(1, 0) = 3;
   h(2, 0) = 5;
   auto edges = std::make_shared<EdgeSet>();
-  edges->num_nodes = n;
+  edges->num_dst = n;
+  edges->num_src = n;
   edges->row_ptr = {0, 3, 4, 5};
   edges->col_idx = {0, 1, 2, 1, 2};
   Var out = EdgeSoftmaxAggregate(tape.Constant(h), tape.Constant(la::Matrix(3, 1)),

@@ -110,7 +110,8 @@ TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
   const int heads = 2;
   const int dim = 3;
   auto edges = std::make_shared<ag::EdgeSet>();
-  edges->num_nodes = n;
+  edges->num_dst = n;
+  edges->num_src = n;
   edges->row_ptr.push_back(0);
   for (int i = 0; i < n; ++i) {  // ring + self-loops
     edges->col_idx.push_back(i);
@@ -146,6 +147,31 @@ TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
   for (size_t i = 0; i < sparse.size(); ++i) {
     ASSERT_EQ(sparse[i], dense[i]) << "component " << i;
   }
+}
+
+TEST(GatherRowsSupportTest, SparseSeedEqualsDenseSeedBitwise) {
+  // The block self-term gather (a repeated index included): a sparse-seeded
+  // backward must scatter only the supported rows yet reproduce the dense
+  // whole-matrix seed exactly.
+  Rng rng(23);
+  ag::Parameter ap("a", ppfr::testing::RandomMatrix(6, 3, &rng));
+  const std::vector<int> indices = {4, 0, 4, 2, 5};
+  auto run = [&](bool sparse_seed) {
+    ap.ZeroGrad();
+    ag::Tape tape;
+    ag::Var out = ag::Tanh(ag::GatherRows(tape.Leaf(&ap), indices));
+    if (sparse_seed) {
+      tape.BackwardWithSparseSeed(out, {0, 2, 2}, {1, 0, 2}, {0.75, -1.25, 2.0});
+    } else {
+      la::Matrix seed(5, 3);
+      seed(0, 1) = 0.75;
+      seed(2, 0) = -1.25;
+      seed(2, 2) = 2.0;
+      tape.BackwardWithSeed(out, seed);
+    }
+    return FlattenGrads({&ap});
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TapePoolBitwise,
@@ -660,7 +686,9 @@ TEST_P(FusedReplayBitwise, FusedWidthsReproduceSerialReplayBitwise) {
 
 TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
   // replay_lanes = 1 must reproduce the pre-fusion engine exactly: a plain
-  // ReusableLossGraph over a model clone, evaluated one point at a time.
+  // ReusableLossGraph over a model clone and the train set's exact block
+  // (outputs: the distinct train nodes, ascending), evaluated one point at a
+  // time.
   la::ScopedBackend scoped(GetParam(), 2);
   EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/53);
   const auto points =
@@ -668,16 +696,30 @@ TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
 
   std::unique_ptr<nn::GnnModel> clone = fx.model->Clone();
   nn::GnnModel* m = clone.get();
-  const nn::GraphContext* ctx = &fx.ctx;
-  const std::vector<int>& nodes = fx.split.train;
+  std::vector<int> outputs = fx.split.train;
+  std::sort(outputs.begin(), outputs.end());
+  outputs.erase(std::unique(outputs.begin(), outputs.end()), outputs.end());
+  const nn::Block block = fx.ctx.ExactBlock(nn::ModelKind::kGcn, outputs);
+  la::Matrix features(block.num_inputs(), fx.ctx.feature_dim());
+  for (int i = 0; i < block.num_inputs(); ++i) {
+    for (int c = 0; c < features.cols(); ++c) {
+      features(i, c) = fx.ctx.features(block.frontier[static_cast<size_t>(i)], c);
+    }
+  }
+  std::vector<int> rows;
   std::vector<int> labels;
-  for (int v : nodes) labels.push_back(fx.data.labels[static_cast<size_t>(v)]);
-  const std::vector<double> ones(nodes.size(), 1.0);
+  for (int v : fx.split.train) {
+    rows.push_back(static_cast<int>(
+        std::lower_bound(outputs.begin(), outputs.end(), v) - outputs.begin()));
+    labels.push_back(fx.data.labels[static_cast<size_t>(v)]);
+  }
+  const std::vector<double> ones(rows.size(), 1.0);
   ReusableLossGraph graph(
-      [m, ctx, &nodes, &labels, &ones](ag::Tape& tape) {
-        ag::Var logits = m->Forward(tape, *ctx, nn::ForwardOptions{});
-        return ag::WeightedNll(ag::LogSoftmaxRows(logits), nodes, labels, ones,
-                               static_cast<double>(nodes.size()));
+      [m, &block, &features, &rows, &labels, &ones](ag::Tape& tape) {
+        ag::Var logits =
+            m->ForwardBlock(tape, block, tape.StaticConstant(features), 1);
+        return ag::WeightedNll(ag::LogSoftmaxRows(logits), rows, labels, ones,
+                               static_cast<double>(rows.size()));
       },
       m->Params());
   std::vector<std::vector<double>> want;
