@@ -1,8 +1,10 @@
-// Generic scenario-runner front-end: runs any registered sweep (or several,
+// The scenario-runner front-end: runs any registered sweep (or several,
 // sharing one stage cache so e.g. table4 + fig5 never retrain a model the
 // other already produced) or an ad-hoc grid, and emits the uniform
-// BENCH_<name>.json artifact.
+// BENCH_<name>.json artifact. Each paper sweep (table2-5, fig4-7) also
+// prints its paper table (paper_tables.h) after the per-cell table.
 //
+//   ./bench_runner --scenarios=table4 [--epochs=150]   # Table IV
 //   ./bench_runner --scenarios=table4,fig5 [--epochs=150]
 //   ./bench_runner --grid='CoraLike,CiteseerLike;GCN,GAT;Vanilla,PPFR'
 //   ./bench_runner --scenarios=smoke --epochs=8 --runner_threads=2
@@ -27,13 +29,16 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "common/table_printer.h"
+#include "paper_tables.h"
 #include "runner/shard_merge.h"
 
 namespace {
 
 // --merge=DIR mode: no cells run; the sweep definition (same flags as the
 // shard runs) pins the grid and the journals supply the results.
-int RunMergeMode(const ppfr::Flags& flags, const ppfr::runner::Sweep& sweep) {
+int RunMergeMode(const ppfr::Flags& flags, const ppfr::runner::Sweep& sweep,
+                 const std::vector<const ppfr::bench::PaperTable*>& tables) {
   using namespace ppfr;
   const std::string dir = flags.GetString("merge", "");
   if (dir.empty() || dir == "true") {
@@ -48,8 +53,12 @@ int RunMergeMode(const ppfr::Flags& flags, const ppfr::runner::Sweep& sweep) {
   options.shard_dir = dir;
   options.env_seed = flags.GetUint64("env_seed", core::kDefaultEnvSeed);
   runner::ShardMergeReport report;
-  const runner::SweepResult result = runner::MergeShards(sweep, options, &report);
+  runner::SweepResult result = runner::MergeShards(sweep, options, &report);
+  runner::RunCache cache(bench::RunCacheDir(flags));
+  bench::AttachPaperExtras(
+      tables, {&cache, options.env_seed, flags.GetInt("runner_threads", 1)}, &result);
   bench::EmitArtifact(flags, result);
+  std::fputs(bench::RenderPaperTables(tables, result).c_str(), stdout);
 
   std::printf("merged %zu of %d shard journal(s): %zu cells",
               report.present_shards.size(), report.shard_count,
@@ -75,16 +84,21 @@ int RunMergeMode(const ppfr::Flags& flags, const ppfr::runner::Sweep& sweep) {
 int main(int argc, char** argv) {
   using namespace ppfr;
   Flags flags(argc, argv);
-  bench::RequireKnownFlags(
-      flags, {"scenarios", "grid", "journal", "resume", "shard", "shard_dir",
-              "merge", "cache_gc_bytes", "cache_gc_age_s"});
+  bench::RejectUnknownFlags(
+      flags, {"datasets", "models", "epochs", "seed", "seeds", "env_seed",
+              "la_backend", "la_threads", "runner_threads", "json_dir",
+              "run_cache_dir", "stable_artifact", "cell_retries", "scenarios",
+              "grid", "journal", "resume", "shard", "shard_dir", "merge",
+              "cache_gc_bytes", "cache_gc_age_s"});
   la::ConfigureBackendFromFlags(flags);
 
   runner::Sweep sweep = runner::SweepFromFlags(flags, /*default_name=*/"smoke");
   runner::ApplyCommonOverrides(flags, &sweep);
+  const std::vector<const bench::PaperTable*> tables =
+      bench::PaperTablesFor(runner::SplitList(flags.GetString("scenarios", "")));
 
   bench::PreflightOutputPaths(flags);
-  if (flags.Has("merge")) return RunMergeMode(flags, sweep);
+  if (flags.Has("merge")) return RunMergeMode(flags, sweep, tables);
 
   runner::RunnerOptions opts = bench::RunnerOptionsFromFlags(flags);
   const bench::ShardSpec shard = bench::ShardFromFlags(flags);
@@ -109,7 +123,8 @@ int main(int argc, char** argv) {
                   : "");
 
   runner::RunCache cache(bench::RunCacheDir(flags));
-  const runner::SweepResult result = runner::RunSweep(sweep, &cache, opts);
+  runner::SweepResult result = runner::RunSweep(sweep, &cache, opts);
+  bench::AttachPaperExtras(tables, {&cache, opts.env_seed, opts.threads}, &result);
   bench::EmitArtifact(flags, result, artifact_suffix);
 
   TablePrinter table({"Dataset", "Model", "Cell", "Seed", "Acc%", "Bias",
@@ -170,6 +185,7 @@ int main(int argc, char** argv) {
     }
     agg_table.Print();
   }
+  std::fputs(bench::RenderPaperTables(tables, result).c_str(), stdout);
 
   const runner::RunCache::Stats stats = cache.stats();
   std::printf(

@@ -1,16 +1,14 @@
 #ifndef PPFR_BENCH_BENCH_UTIL_H_
 #define PPFR_BENCH_BENCH_UTIL_H_
 
-// Shared scaffolding for the paper-reproduction bench binaries. Each binary
-// regenerates one table or figure of "Unraveling Privacy Risks of Individual
-// Fairness in Graph Neural Networks" (ICDE'24) as a thin front-end over the
-// scenario runner (src/runner/): it resolves its registered sweep, runs it
-// through the shared stage cache, renders its bespoke table, and emits the
-// uniform BENCH_<name>.json artifact.
+// Shared scaffolding for the bench binaries: strict flag handling, the
+// exit-code contract, output-path preflight, fleet sharding and the sweep
+// artifact writer. bench_runner drives every registered sweep through the
+// scenario runner (src/runner/); the paper tables it prints on top live in
+// paper_tables.h.
 
 #include <signal.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +18,6 @@
 
 #include "common/flags.h"
 #include "common/serialize.h"
-#include "common/stopwatch.h"
-#include "common/table_printer.h"
 #include "core/experiment.h"
 #include "core/methods.h"
 #include "la/backend.h"
@@ -38,14 +34,6 @@ namespace ppfr::bench {
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitDegradedMerge = 3;  // merge wrote a partial artifact
 inline constexpr int kExitInterrupted = 4;    // SIGTERM/SIGINT stopped the sweep
-
-// Flags every runner-driven bench binary understands.
-inline std::vector<std::string> CommonFlagNames() {
-  return {"datasets",   "models",     "epochs",         "seed",
-          "seeds",      "env_seed",   "la_backend",     "la_threads",
-          "runner_threads", "json_dir", "run_cache_dir", "stable_artifact",
-          "cell_retries"};
-}
 
 // Directory for the disk-persisted run cache: --run_cache_dir= beats the
 // PPFR_RUN_CACHE_DIR environment variable; absent (the default) keeps the
@@ -80,15 +68,6 @@ inline void RejectUnknownFlags(const Flags& flags,
   for (const std::string& name : known) std::fprintf(stderr, " --%s", name.c_str());
   std::fprintf(stderr, "\n");
   std::exit(2);
-}
-
-// RejectUnknownFlags against the runner-driven bench flag set plus the
-// binary's `extra` names.
-inline void RequireKnownFlags(const Flags& flags,
-                              const std::vector<std::string>& extra) {
-  std::vector<std::string> known = CommonFlagNames();
-  known.insert(known.end(), extra.begin(), extra.end());
-  RejectUnknownFlags(flags, known);
 }
 
 // Parsed --shard=i/N + --shard_dir=DIR (bench_runner only). count == 1 means
@@ -162,9 +141,8 @@ inline runner::RunnerOptions RunnerOptionsFromFlags(const Flags& flags) {
   opts.threads = flags.GetInt("runner_threads", 1);
   opts.env_seed = flags.GetUint64("env_seed", core::kDefaultEnvSeed);
   opts.max_cell_retries = flags.GetInt("cell_retries", opts.max_cell_retries);
-  // --journal/--resume are only in bench_runner's known-flag list: bespoke
-  // table benches post-process cell.run->model, which a journal-restored cell
-  // does not carry, so they reject the flags as unknown instead of crashing.
+  // --journal/--resume work for every sweep, paper tables included: they
+  // read only journaled evals, and table2 takes its models from the cache.
   if (flags.Has("journal")) {
     const std::string path = flags.GetString("journal", "");
     if (path.empty() || path == "true") {
@@ -241,19 +219,6 @@ inline void PreflightOutputPaths(const Flags& flags) {
   }
 }
 
-// Resolves the binary's registered sweep, applying --datasets/--models
-// narrowing and the --epochs/--seed cell overrides.
-inline runner::Sweep BenchSweep(const Flags& flags, const std::string& name) {
-  std::optional<runner::Sweep> sweep = runner::RegistrySweep(name);
-  if (!sweep) {
-    std::fprintf(stderr, "bench bug: sweep '%s' is not registered\n", name.c_str());
-    std::exit(2);
-  }
-  runner::ApplyFilters(flags, &*sweep);
-  runner::ApplyCommonOverrides(flags, &*sweep);
-  return *std::move(sweep);
-}
-
 // Writes the sweep artifact into --json_dir (default "."), honouring
 // --stable_artifact (zeroes the run-varying fields — timings, cache
 // counters — so repeated runs with identical results produce identical
@@ -268,30 +233,7 @@ inline std::string EmitArtifact(const Flags& flags,
   const std::string path =
       runner::WriteArtifact(result, flags.GetString("json_dir", "."), artifact);
   std::printf("wrote %s\n", path.c_str());
-  // The bespoke paper tables address cells by (dataset, model, method) and
-  // therefore show the FIRST seed instance; under a seed list, say so and
-  // point at the aggregated numbers instead of letting a single-seed slice
-  // read as the paper's averaged table.
-  if (result.seeds.size() > 1) {
-    std::printf(
-        "note: %zu seed instances per cell ran; any per-cell table above may "
-        "show the first seed only — cross-seed mean/stddev per metric are in "
-        "the artifact's 'aggregates'\n",
-        result.seeds.size());
-  }
   return path;
-}
-
-// Runs the sweep and emits its artifact (see EmitArtifact). Output paths are
-// preflighted first so an unwritable --json_dir/--journal dies before any
-// cell trains.
-inline runner::SweepResult RunAndEmit(const Flags& flags, const runner::Sweep& sweep,
-                                      runner::RunCache* cache) {
-  PreflightOutputPaths(flags);
-  runner::SweepResult result =
-      runner::RunSweep(sweep, cache, RunnerOptionsFromFlags(flags));
-  EmitArtifact(flags, result);
-  return result;
 }
 
 // Runs the size/age-bounded cache GC when --cache_gc_bytes / --cache_gc_age_s
@@ -312,42 +254,6 @@ inline void MaybeRunCacheGc(const Flags& flags, const runner::RunCache& cache) {
       static_cast<long long>(r.evicted_bytes),
       static_cast<long long>(r.bytes_before),
       static_cast<long long>(r.kept_claimed));
-}
-
-// Distinct values of a Scenario field in first-appearance cell order.
-template <typename T>
-std::vector<T> DistinctInOrder(const runner::SweepResult& result,
-                               T runner::Scenario::* field) {
-  std::vector<T> out;
-  for (const runner::CellResult& cell : result.cells) {
-    const T value = cell.scenario.*field;
-    if (std::find(out.begin(), out.end(), value) == out.end()) out.push_back(value);
-  }
-  return out;
-}
-
-inline std::vector<data::DatasetId> DatasetsIn(const runner::SweepResult& result) {
-  return DistinctInOrder(result, &runner::Scenario::dataset);
-}
-
-inline std::vector<nn::ModelKind> ModelsIn(const runner::SweepResult& result) {
-  return DistinctInOrder(result, &runner::Scenario::model);
-}
-
-// FindCell that dies instead of returning nullptr (bench tables address
-// cells their own sweep definition guarantees).
-inline const runner::CellResult& CellOrDie(const runner::SweepResult& result,
-                                           data::DatasetId dataset,
-                                           nn::ModelKind model,
-                                           core::MethodKind method) {
-  const runner::CellResult* cell = runner::FindCell(result, dataset, model, method);
-  if (cell == nullptr) {
-    std::fprintf(stderr, "sweep '%s' is missing cell (%s, %s, %s)\n",
-                 result.name.c_str(), data::DatasetName(dataset).c_str(),
-                 nn::ModelKindName(model).c_str(), core::MethodName(method).c_str());
-    std::exit(2);
-  }
-  return *cell;
 }
 
 }  // namespace ppfr::bench

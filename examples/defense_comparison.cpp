@@ -84,6 +84,6 @@ int main(int argc, char** argv) {
       "edges than EdgeRand needs at comparable risk (compare the Edges\n"
       "column), which is why PPFR pairs PP (not DP) with the reweighting.\n"
       "The full-strength comparison, where defenses enter training itself,\n"
-      "is bench_table4_ppfr_effectiveness / bench_fig5_accuracy_cost.\n");
+      "is bench_runner --scenarios=table4,fig5.\n");
   return 0;
 }

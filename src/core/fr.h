@@ -21,7 +21,7 @@ struct FrConfig {
   // Restrict the QCLP to zero-sum reweightings (Σw = 0). Keeps the total
   // loss mass fixed so the solver redistributes weight instead of globally
   // shrinking it; markedly better bias/accuracy trade on the synthetic
-  // benchmarks (ablated in bench_fig6_ablation).
+  // benchmarks (ablated in the fig6 sweep).
   bool zero_sum = true;
   influence::InfluenceConfig influence;
 };

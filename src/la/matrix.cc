@@ -222,7 +222,9 @@ Matrix MatMulLanesTransA(const Matrix& a, const Matrix& b, int lanes,
   PPFR_CHECK_GE(lanes, 1);
   PPFR_CHECK_EQ(b.cols() % lanes, 0);
   PPFR_CHECK_EQ(a.rows(), b.rows());
-  if (!a_shared) PPFR_CHECK_EQ(a.cols() % lanes, 0);
+  if (!a_shared) {
+    PPFR_CHECK_EQ(a.cols() % lanes, 0);
+  }
   const int ka = a_shared ? a.cols() : a.cols() / lanes;
   Matrix out(ka, b.cols());
   ActiveBackend().GemmLanesTransA(a, b, &out, lanes);

@@ -147,7 +147,7 @@ struct CellAggregate {
 // are skipped entirely — their NaN placeholders would poison every mean —
 // so a group's `seeds` lists only the instances that actually finished.
 // Called by WriteArtifact at emission time so bench-attached `extra` metrics
-// are included; exposed for tests and bespoke bench tables.
+// are included; exposed for tests and the paper-table renderers.
 std::vector<CellAggregate> AggregateCells(const SweepResult& result);
 
 // Runs every cell of the sweep through the cache, serially or across the
@@ -171,18 +171,18 @@ int ResolveCellThreads(int threads, size_t n);
 void ParallelCells(size_t n, int threads, const std::function<void(size_t)>& fn);
 
 // NaN placeholders for cells that produced no numbers (failed, skipped by an
-// interrupt, missing from a merge). Benches dereference cell.run->eval
-// freely, so such cells carry a model-less MethodRun whose metrics are NaN —
-// the artifact's *_finite markers flag them, and AggregateCells skips the
-// cell entirely. Shared with runner::MergeShards.
+// interrupt, missing from a merge): a model-less MethodRun whose metrics are
+// NaN and whose per-distance AUCs are empty, so readers check the cell's
+// status first. The artifact's *_finite markers flag them, and
+// AggregateCells skips the cell entirely. Shared with runner::MergeShards.
 std::shared_ptr<const core::MethodRun> PlaceholderRun();
 core::EvalResult NanEvalResult();
 core::DeltaMetrics NanDeltaMetrics();
 
 // Rebuilds a CellResult from its journal record (scenario must already be
 // set). The restored run carries the recorded eval but NO model (restoring
-// skips the compute entirely); front-ends that post-process models re-run
-// without --resume, or lean on the disk run cache. Used by RunSweep's
+// skips the compute entirely); a front-end that needs the model takes it
+// from the run cache (RunCache::VanillaModel). Used by RunSweep's
 // --resume replay and by MergeShards' reassembly — the one deserialization,
 // so a merged cell is bit-for-bit what a resumed cell would be.
 void RestoreCell(const JournalRecord& rec, CellResult* out);

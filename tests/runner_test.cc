@@ -237,7 +237,7 @@ TEST(RunCacheTest, CachedStagesBitwiseIdenticalToColdRuns) {
 }
 
 TEST(RunnerTest, Table4EquivalentSweepMatchesPreRefactorAndTrainsVanillaOnce) {
-  // A bench_table4-equivalent sweep (every method × two models on one
+  // A table4-shaped sweep (every method × two models on one
   // dataset) through the runner must produce numerically identical tables to
   // the pre-refactor per-method pipelines while training vanilla exactly
   // once per (dataset, model, seed).
