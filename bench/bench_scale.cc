@@ -17,7 +17,7 @@
 //                 context) still bounds the points it can run at.
 //
 // Each stage reports wall seconds, the arena peak (logical bytes of live
-// la::Matrix/CsrMatrix/CsrAdjacency buffers, reset per stage) and the
+// la::Matrix/CsrMatrix/graph::Graph buffers, reset per stage) and the
 // process peak RSS (VmHWM — monotone over the process, so per-stage values
 // read as "peak so far"). Emits BENCH_scale.json (schema pinned by
 // bench/golden/artifact_schema.txt, section "scale"); --stable_artifact
@@ -46,7 +46,7 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "data/scale_gen.h"
-#include "graph/csr_builder.h"
+#include "graph/graph.h"
 #include "influence/frontier.h"
 #include "influence/influence.h"
 #include "la/backend.h"
@@ -187,7 +187,7 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
   // build: ScaleDataset construction = the two-pass CSR build.
   std::optional<data::ScaleDataset> dataset;
   result.build = MeasureStage([&] { dataset.emplace(cfg, opts.seed); });
-  const graph::CsrAdjacency& adj = dataset->adjacency();
+  const graph::Graph& adj = dataset->adjacency();
   result.edges = adj.num_edges();
   result.max_degree = adj.MaxDegree();
   result.average_degree = adj.AverageDegree();
@@ -253,11 +253,9 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
         std::min<int64_t>(opts.influence_train, train_target), /*salt=*/3);
     const std::vector<int> targets = dataset->StridedNodes(
         std::min<int64_t>(opts.influence_targets, train_target), /*salt=*/4);
-    graph::Graph graph = adj.ToGraph();
     la::Matrix features = dataset->MaterializeFeatures();
     const std::vector<int> labels = dataset->MaterializeLabels();
-    nn::GraphContext ctx =
-        nn::GraphContext::Build(std::move(graph), std::move(features));
+    nn::GraphContext ctx = nn::GraphContext::Build(adj, std::move(features));
 
     influence::InfluenceConfig inf_cfg;
     // Damping pinned in the PD regime and a tight iteration cap: the curve

@@ -52,7 +52,7 @@ int ScaleGraphConfig::BlockOf(int64_t v) const {
 }
 
 void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
-                      const std::function<void(int64_t, int64_t)>& emit) {
+                      const graph::EdgeEmitter& emit) {
   const int64_t n = config.num_nodes;
   const int num_blocks = config.num_blocks;
   const uint64_t edge_seed = MixSeed(seed, kEdgeStreamTag);
@@ -111,8 +111,8 @@ ScaleDataset::ScaleDataset(const ScaleGraphConfig& config, uint64_t seed)
   PPFR_CHECK_LE(config.homophily, 1.0);
   PPFR_CHECK_LE(config.signature_size * config.num_blocks, config.feature_dim)
       << "class signatures must fit in the feature space";
-  adj_ = graph::BuildCsrFromEdgeStream(
-      config.num_nodes, [this](const std::function<void(int64_t, int64_t)>& emit) {
+  adj_ = graph::Graph::FromEdgeStream(
+      config.num_nodes, [this](const graph::EdgeEmitter& emit) {
         StreamScaleEdges(config_, seed_, emit);
       });
 }

@@ -2,10 +2,9 @@
 #define PPFR_DATA_SCALE_GEN_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "graph/csr_builder.h"
+#include "graph/graph.h"
 #include "la/matrix.h"
 
 namespace ppfr::data {
@@ -49,14 +48,14 @@ struct ScaleGraphConfig {
 
 // Streams the deterministic edge multiset for (config, seed) into `emit`,
 // one Rng(MixSeed(MixSeed(seed, a), b)) stream per block pair — replaying the
-// call yields the identical sequence, which is what lets the two-pass CSR
-// builder run without an edge list. Self-loops and duplicates may be emitted;
-// the builder drops/collapses them.
+// call yields the identical sequence, which is what lets the two-pass
+// builder (graph::Graph::FromEdgeStream) run without an edge list. Self-loops
+// and duplicates may be emitted; the builder drops/collapses them.
 void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
-                      const std::function<void(int64_t, int64_t)>& emit);
+                      const graph::EdgeEmitter& emit);
 
-// A generated attributed graph whose only resident state is the CSR
-// adjacency: labels are computed, feature rows are regenerated from their
+// A generated attributed graph whose only resident state is its CSR
+// graph::Graph: labels are computed, feature rows are regenerated from their
 // per-node counter-based stream on each request. Deterministic in
 // (config, seed); Materialize* bridges to the dense representation for
 // small-scale parity tests.
@@ -65,7 +64,7 @@ class ScaleDataset {
   ScaleDataset(const ScaleGraphConfig& config, uint64_t seed);
 
   const ScaleGraphConfig& config() const { return config_; }
-  const graph::CsrAdjacency& adjacency() const { return adj_; }
+  const graph::Graph& adjacency() const { return adj_; }
   int64_t num_nodes() const { return config_.num_nodes; }
   int num_classes() const { return config_.num_blocks; }
 
@@ -92,7 +91,7 @@ class ScaleDataset {
  private:
   ScaleGraphConfig config_;
   uint64_t seed_;
-  graph::CsrAdjacency adj_;
+  graph::Graph adj_;
 };
 
 }  // namespace ppfr::data

@@ -5,47 +5,90 @@
 #include "common/check.h"
 
 namespace ppfr::graph {
+namespace {
+// Ceiling on directed adjacency entries (2 per undirected edge): the int64
+// row_ptr can address more, but anything past this is a generator bug (at 4
+// bytes per entry it is already a quarter-terabyte buffer), so fail loudly
+// before resize() turns it into an opaque bad_alloc or a wrapped size.
+constexpr int64_t kMaxAdjEntries = int64_t{1} << 36;
+}  // namespace
+
+Graph Graph::FromEdgeStream(int64_t num_nodes, const EdgeStream& stream) {
+  PPFR_CHECK_GE(num_nodes, 0);
+  PPFR_CHECK_LE(num_nodes, kMaxCsrNodes)
+      << "node count overflows the int32 CSR column indices "
+      << "(kMaxCsrNodes = " << kMaxCsrNodes << ")";
+
+  Graph out;
+  out.num_nodes_ = static_cast<int>(num_nodes);
+  out.row_ptr_.assign(static_cast<size_t>(num_nodes) + 1, 0);
+
+  // Pass 1: degree count. Self-loops are dropped here and must be dropped
+  // identically on replay (the emit callback applies the same filter).
+  int64_t pass1_entries = 0;
+  stream([&](int64_t u, int64_t v) {
+    PPFR_CHECK_GE(u, 0);
+    PPFR_CHECK_LT(u, num_nodes);
+    PPFR_CHECK_GE(v, 0);
+    PPFR_CHECK_LT(v, num_nodes);
+    if (u == v) return;
+    out.row_ptr_[u + 1]++;
+    out.row_ptr_[v + 1]++;
+    pass1_entries += 2;
+  });
+  PPFR_CHECK_LE(pass1_entries, kMaxAdjEntries)
+      << "edge stream too large for the adjacency buffer";
+
+  for (int64_t v = 0; v < num_nodes; ++v) out.row_ptr_[v + 1] += out.row_ptr_[v];
+  out.adj_.resize(static_cast<size_t>(pass1_entries));
+
+  // Pass 2: in-place placement through per-row cursors.
+  std::vector<int64_t> cursor(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
+  int64_t pass2_entries = 0;
+  stream([&](int64_t u, int64_t v) {
+    PPFR_CHECK_GE(u, 0);
+    PPFR_CHECK_LT(u, num_nodes);
+    PPFR_CHECK_GE(v, 0);
+    PPFR_CHECK_LT(v, num_nodes);
+    if (u == v) return;
+    PPFR_CHECK_LT(pass2_entries, pass1_entries)
+        << "edge stream emitted more edges on replay than on the count pass";
+    out.adj_[static_cast<size_t>(cursor[u]++)] = static_cast<int>(v);
+    out.adj_[static_cast<size_t>(cursor[v]++)] = static_cast<int>(u);
+    pass2_entries += 2;
+  });
+  PPFR_CHECK_EQ(pass2_entries, pass1_entries)
+      << "edge stream is not replayable: pass 2 emitted a different edge count";
+
+  // Per-row sort + in-place dedupe (multi-edges collapse to simple edges),
+  // then compact the adjacency buffer and rebuild row_ptr over the kept runs.
+  int64_t write = 0;
+  int64_t begin = 0;  // original row start — row_ptr_[v] is overwritten below
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    const int64_t end = out.row_ptr_[v + 1];
+    std::sort(out.adj_.begin() + begin, out.adj_.begin() + end);
+    const auto last = std::unique(out.adj_.begin() + begin, out.adj_.begin() + end);
+    const int64_t kept = last - (out.adj_.begin() + begin);
+    if (write != begin) {
+      std::copy(out.adj_.begin() + begin, out.adj_.begin() + begin + kept,
+                out.adj_.begin() + write);
+    }
+    out.row_ptr_[v] = write;
+    write += kept;
+    begin = end;
+  }
+  out.row_ptr_[num_nodes] = write;
+  out.adj_.resize(static_cast<size_t>(write));
+  out.adj_.shrink_to_fit();
+  out.arena_.Set(static_cast<int64_t>(out.row_ptr_.size() * sizeof(int64_t) +
+                                      out.adj_.size() * sizeof(int)));
+  return out;
+}
 
 Graph Graph::FromEdges(int num_nodes, const std::vector<Edge>& edges) {
-  Graph g;
-  g.num_nodes_ = num_nodes;
-  std::vector<Edge> canon;
-  canon.reserve(edges.size());
-  for (const Edge& e : edges) {
-    PPFR_CHECK_GE(e.u, 0);
-    PPFR_CHECK_LT(e.u, num_nodes);
-    PPFR_CHECK_GE(e.v, 0);
-    PPFR_CHECK_LT(e.v, num_nodes);
-    if (e.u == e.v) continue;
-    canon.push_back(e.u < e.v ? e : Edge{e.v, e.u});
-  }
-  std::sort(canon.begin(), canon.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  return FromEdgeStream(num_nodes, [&edges](const EdgeEmitter& emit) {
+    for (const Edge& e : edges) emit(e.u, e.v);
   });
-  canon.erase(std::unique(canon.begin(), canon.end(),
-                          [](const Edge& a, const Edge& b) {
-                            return a.u == b.u && a.v == b.v;
-                          }),
-              canon.end());
-  g.edges_ = std::move(canon);
-
-  std::vector<int> degree(num_nodes, 0);
-  for (const Edge& e : g.edges_) {
-    degree[e.u]++;
-    degree[e.v]++;
-  }
-  g.row_ptr_.assign(num_nodes + 1, 0);
-  for (int v = 0; v < num_nodes; ++v) g.row_ptr_[v + 1] = g.row_ptr_[v] + degree[v];
-  g.adj_.resize(g.row_ptr_[num_nodes]);
-  std::vector<int64_t> cursor(g.row_ptr_.begin(), g.row_ptr_.end() - 1);
-  for (const Edge& e : g.edges_) {
-    g.adj_[cursor[e.u]++] = e.v;
-    g.adj_[cursor[e.v]++] = e.u;
-  }
-  for (int v = 0; v < num_nodes; ++v) {
-    std::sort(g.adj_.begin() + g.row_ptr_[v], g.adj_.begin() + g.row_ptr_[v + 1]);
-  }
-  return g;
 }
 
 std::span<const int> Graph::Neighbors(int v) const {
@@ -60,10 +103,29 @@ int Graph::Degree(int v) const {
   return static_cast<int>(row_ptr_[v + 1] - row_ptr_[v]);
 }
 
+int Graph::MaxDegree() const {
+  int max_deg = 0;
+  for (int v = 0; v < num_nodes_; ++v) {
+    max_deg = std::max(max_deg, static_cast<int>(row_ptr_[v + 1] - row_ptr_[v]));
+  }
+  return max_deg;
+}
+
 bool Graph::HasEdge(int u, int v) const {
   if (u == v) return false;
   const auto nbrs = Neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
+}
+
+std::vector<Edge> Graph::Edges() const {
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<size_t>(num_edges()));
+  for (int u = 0; u < num_nodes_; ++u) {
+    for (int v : Neighbors(u)) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  return edges;
 }
 
 double Graph::AverageDegree() const {
@@ -73,12 +135,14 @@ double Graph::AverageDegree() const {
 
 double Graph::EdgeHomophily(const std::vector<int>& labels) const {
   PPFR_CHECK_EQ(labels.size(), static_cast<size_t>(num_nodes_));
-  if (edges_.empty()) return 0.0;
+  if (adj_.empty()) return 0.0;
   int64_t same = 0;
-  for (const Edge& e : edges_) {
-    if (labels[e.u] == labels[e.v]) ++same;
+  for (int u = 0; u < num_nodes_; ++u) {
+    for (int v : Neighbors(u)) {
+      if (u < v && labels[u] == labels[v]) ++same;
+    }
   }
-  return static_cast<double>(same) / static_cast<double>(edges_.size());
+  return static_cast<double>(same) / static_cast<double>(num_edges());
 }
 
 }  // namespace ppfr::graph

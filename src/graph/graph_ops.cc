@@ -1,7 +1,7 @@
 #include "graph/graph_ops.h"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "common/check.h"
 
@@ -20,18 +20,6 @@ la::CsrMatrix GcnNormalizedAdjacency(const Graph& g) {
     for (int u : g.Neighbors(v)) {
       triplets.push_back({v, u, inv_sqrt_deg[v] * inv_sqrt_deg[u]});
     }
-  }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-la::CsrMatrix LeftNormalizedAdjacency(const Graph& g) {
-  const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * g.num_edges() + n);
-  for (int v = 0; v < n; ++v) {
-    const double w = 1.0 / (static_cast<double>(g.Degree(v)) + 1.0);
-    triplets.push_back({v, v, w});
-    for (int u : g.Neighbors(v)) triplets.push_back({v, u, w});
   }
   return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
 }
@@ -72,31 +60,6 @@ la::CsrMatrix SampledMeanAggregationMatrix(const Graph& g, int fanout, Rng* rng)
     }
   }
   return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-std::vector<int> BfsHops(const Graph& g, int source, int max_hops) {
-  const int n = g.num_nodes();
-  std::vector<int> hops(n, max_hops + 1);
-  hops[source] = 0;
-  std::deque<int> queue{source};
-  while (!queue.empty()) {
-    const int v = queue.front();
-    queue.pop_front();
-    if (hops[v] >= max_hops) continue;
-    for (int u : g.Neighbors(v)) {
-      if (hops[u] > hops[v] + 1) {
-        hops[u] = hops[v] + 1;
-        queue.push_back(u);
-      }
-    }
-  }
-  return hops;
-}
-
-int HopDistance(const Graph& g, int u, int v, int cap) {
-  if (u == v) return 0;
-  std::vector<int> hops = BfsHops(g, u, cap);
-  return hops[v];
 }
 
 }  // namespace ppfr::graph

@@ -10,7 +10,7 @@ namespace {
 
 // {t} ∪ N(t) ∪ N²(t), sorted — the dense-row support of a 2-layer seeded
 // backward from t. Direct neighbour-of-neighbour enumeration: cheaper than a
-// full BfsHops vector per target on big graphs.
+// full-graph BFS distance vector per target on big graphs.
 std::vector<int> TwoHopSupport(const graph::Graph& g, int t) {
   std::unordered_set<int> support{t};
   for (int u : g.Neighbors(t)) {

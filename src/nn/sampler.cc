@@ -11,7 +11,7 @@ constexpr uint64_t kBlockStreamTag = 0x424c4f43;  // "BLOC"
 constexpr uint64_t kBatchStreamTag = 0x42415443;  // "BATC"
 }  // namespace
 
-NeighborSampler::NeighborSampler(const graph::CsrAdjacency* adj,
+NeighborSampler::NeighborSampler(const graph::Graph* adj,
                                  const SamplerConfig& config)
     : adj_(adj), config_(config) {
   PPFR_CHECK(adj != nullptr);

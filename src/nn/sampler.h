@@ -5,7 +5,7 @@
 #include <limits>
 #include <vector>
 
-#include "graph/csr_builder.h"
+#include "graph/graph.h"
 #include "nn/block.h"
 
 namespace ppfr::nn {
@@ -24,7 +24,7 @@ struct SamplerConfig {
   uint64_t seed = 1;
 };
 
-// Fanout-capped k-hop block sampler over a CSR adjacency (non-owning).
+// Fanout-capped k-hop block sampler over a graph::Graph (non-owning).
 // Every (hop, node) pair draws from its own counter-based RNG stream derived
 // from (seed, epoch, batch, hop, node) — the sampled block is a pure function
 // of those values plus `targets`, independent of thread count, iteration
@@ -32,7 +32,7 @@ struct SamplerConfig {
 // determinism tests pin across runs and backends).
 class NeighborSampler {
  public:
-  NeighborSampler(const graph::CsrAdjacency* adj, const SamplerConfig& config);
+  NeighborSampler(const graph::Graph* adj, const SamplerConfig& config);
 
   const SamplerConfig& config() const { return config_; }
 
@@ -50,7 +50,7 @@ class NeighborSampler {
                                                     int epoch);
 
  private:
-  const graph::CsrAdjacency* adj_;
+  const graph::Graph* adj_;
   SamplerConfig config_;
 };
 

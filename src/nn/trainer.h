@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "graph/csr_builder.h"
+#include "graph/graph.h"
 #include "la/csr_matrix.h"
 #include "nn/models.h"
 
@@ -56,13 +56,13 @@ TrainStats Train(GnnModel* model, const GraphContext& ctx,
                  const std::vector<int>& train_nodes, const std::vector<int>& labels,
                  const TrainConfig& config);
 
-// Data access for neighbour-sampled mini-batch training at scale: the CSR
-// adjacency the sampler walks (non-owning) plus a feature gather producing
+// Data access for neighbour-sampled mini-batch training at scale: the graph
+// the sampler walks (non-owning) plus a feature gather producing
 // the rows for a frontier of global node ids on demand — at no point does a
 // full feature matrix exist. data::ScaleDataset::GatherFeatures binds
 // directly; a dense feature matrix binds via a row-copy lambda in tests.
 struct SampledTrainSpec {
-  const graph::CsrAdjacency* adj = nullptr;
+  const graph::Graph* adj = nullptr;
   std::function<la::Matrix(const std::vector<int>&)> gather_features;
 };
 

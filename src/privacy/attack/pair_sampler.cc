@@ -13,7 +13,7 @@ PairSample SamplePairs(const graph::Graph& g, int max_per_class, uint64_t seed) 
   PairSample sample;
 
   // Positives: all edges, or a uniform subsample.
-  const auto& edges = g.Edges();
+  const std::vector<graph::Edge> edges = g.Edges();
   const int64_t num_edges = static_cast<int64_t>(edges.size());
   if (num_edges <= max_per_class) {
     for (const auto& e : edges) sample.connected.emplace_back(e.u, e.v);

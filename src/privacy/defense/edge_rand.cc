@@ -42,7 +42,7 @@ graph::Graph EdgeRand(const graph::Graph& g, double epsilon, uint64_t seed) {
   };
 
   std::vector<graph::Edge> edges;
-  edges.reserve(g.Edges().size() + flipped.size());
+  edges.reserve(static_cast<size_t>(g.num_edges()) + flipped.size());
   // Existing edges survive unless flipped.
   for (const graph::Edge& e : g.Edges()) {
     if (flipped.count(pair_index(e.u, e.v)) == 0) edges.push_back(e);

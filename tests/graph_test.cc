@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "data/sbm.h"
 #include "graph/graph.h"
@@ -22,6 +25,22 @@ TEST(GraphTest, FromEdgesCanonicalizes) {
   EXPECT_TRUE(g.HasEdge(1, 3));
   EXPECT_FALSE(g.HasEdge(2, 2));
   EXPECT_FALSE(g.HasEdge(0, 2));
+
+  // Edges() is the canonical list sorted by (u, v) and round-trips through
+  // FromEdges to the same CSR.
+  const Graph sbm = ppfr::testing::SmallSbm(4, 120, 3).graph;
+  const std::vector<Edge> edges = sbm.Edges();
+  ASSERT_EQ(static_cast<int64_t>(edges.size()), sbm.num_edges());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ASSERT_LT(edges[i].u, edges[i].v);
+    if (i > 0) {
+      ASSERT_TRUE(edges[i - 1].u < edges[i].u ||
+                  (edges[i - 1].u == edges[i].u && edges[i - 1].v < edges[i].v));
+    }
+  }
+  const Graph round_trip = Graph::FromEdges(sbm.num_nodes(), edges);
+  EXPECT_EQ(round_trip.row_ptr(), sbm.row_ptr());
+  EXPECT_EQ(round_trip.adj(), sbm.adj());
 }
 
 TEST(GraphTest, NeighborsSortedAndDegreesMatch) {
@@ -54,14 +73,6 @@ TEST(GraphOpsTest, GcnNormalizedAdjacencyIsSymmetricWithSelfLoops) {
   EXPECT_NEAR(a.At(4, 0), 1.0 / std::sqrt(2.0 * 5.0), 1e-14);
 }
 
-TEST(GraphOpsTest, LeftNormalizedRowsSumToOne) {
-  const Graph g = SmallGraph();
-  const la::CsrMatrix a = LeftNormalizedAdjacency(g);
-  la::Matrix ones(g.num_nodes(), 1, 1.0);
-  const la::Matrix row_sums = a.Multiply(ones);
-  for (int i = 0; i < g.num_nodes(); ++i) EXPECT_NEAR(row_sums(i, 0), 1.0, 1e-12);
-}
-
 TEST(GraphOpsTest, MeanAggregationRowsSumToOneExceptIsolated) {
   const Graph g = SmallGraph();
   const la::CsrMatrix m = MeanAggregationMatrix(g);
@@ -91,23 +102,6 @@ TEST(GraphOpsTest, SampledMeanAggregationRespectsFanout) {
   }
 }
 
-TEST(GraphOpsTest, BfsHopsOnPathGraph) {
-  const Graph path = Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  const std::vector<int> hops = BfsHops(path, 0, 10);
-  EXPECT_EQ(hops, (std::vector<int>{0, 1, 2, 3, 4}));
-  // Capped BFS marks everything beyond the cap as cap + 1.
-  const std::vector<int> capped = BfsHops(path, 0, 2);
-  EXPECT_EQ(capped[3], 3);
-  EXPECT_EQ(capped[4], 3);
-}
-
-TEST(GraphOpsTest, HopDistanceHandlesDisconnected) {
-  const Graph g = SmallGraph();
-  EXPECT_EQ(HopDistance(g, 0, 1, 5), 1);
-  EXPECT_EQ(HopDistance(g, 4, 3, 5), 2);
-  EXPECT_EQ(HopDistance(g, 0, 5, 5), 6);  // isolated -> cap + 1
-}
-
 TEST(JaccardTest, KnownValuesOnSquareGraph) {
   // Square 0-1-2-3 with diagonal 0-2, pendant 4-0 (closed neighbourhoods).
   const Graph g = SmallGraph();
@@ -123,6 +117,27 @@ TEST(JaccardTest, KnownValuesOnSquareGraph) {
   for (int j = 0; j < 6; ++j) EXPECT_DOUBLE_EQ(s.At(5, j), 0.0);
 }
 
+// Hop distances from `source` (nodes beyond `max_hops` or unreachable get
+// max_hops + 1), the BFS oracle for the lemma below.
+std::vector<int> HopsFrom(const Graph& g, int source, int max_hops) {
+  std::vector<int> hops(g.num_nodes(), max_hops + 1);
+  hops[source] = 0;
+  std::vector<int> frontier{source};
+  for (int h = 1; h <= max_hops && !frontier.empty(); ++h) {
+    std::vector<int> next;
+    for (int v : frontier) {
+      for (int u : g.Neighbors(v)) {
+        if (hops[u] > h) {
+          hops[u] = h;
+          next.push_back(u);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return hops;
+}
+
 // Lemma V.1: S_ij > 0 exactly when hop(i, j) <= 2 (closed neighbourhoods).
 class JaccardLemmaSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -131,7 +146,7 @@ TEST_P(JaccardLemmaSweep, PositiveIffWithinTwoHops) {
   const Graph& g = data.graph;
   const la::CsrMatrix s = JaccardSimilarity(g);
   for (int i = 0; i < g.num_nodes(); ++i) {
-    const std::vector<int> hops = BfsHops(g, i, 3);
+    const std::vector<int> hops = HopsFrom(g, i, 3);
     for (int j = 0; j < g.num_nodes(); ++j) {
       if (i == j) continue;
       const double sij = s.At(i, j);

@@ -660,6 +660,86 @@ TEST(SnapshotTest, GarbageEdgeCountIsRejectedBeforeAllocating) {
   EXPECT_FALSE(core::LoadGraphContext(&r, features, &ctx));
 }
 
+// Accepts a DP/PP context payload exactly as RunCache::ContextStage does.
+bool AcceptGraphContext(const std::string& payload, const la::Matrix& features,
+                        nn::GraphContext* ctx) {
+  BinaryReader r(payload);
+  return core::LoadGraphContext(&r, features, ctx) && r.AtEnd();
+}
+
+TEST(SnapshotTest, GraphContextSurvivesEveryTruncationAndByteFlip) {
+  // The payload of a small fixed graph, pinned byte for byte: a change here
+  // is a cache-format change and must bump RunCache's kFormatVersion.
+  BinaryWriter w;
+  core::SaveGraphStructure(&w, ppfr::testing::SmallGraph());
+  const std::string golden = w.data();
+  std::string hex;
+  for (unsigned char c : golden) {
+    hex += "0123456789abcdef"[c >> 4];
+    hex += "0123456789abcdef"[c & 15];
+  }
+  EXPECT_EQ(hex,
+            "06000000" "0600000000000000"   // num_nodes, num_edges
+            "0000000001000000" "0000000002000000" "0000000003000000"
+            "0000000004000000" "0100000002000000" "0200000003000000");
+
+  const la::Matrix features(6, 2);
+  nn::GraphContext intact;
+  ASSERT_TRUE(AcceptGraphContext(golden, features, &intact));
+
+  // An accepted payload must yield a graph that re-saves to a well-formed
+  // payload: the header matches, the edges are canonical and strictly
+  // (u, v)-sorted, and the re-saved bytes load back to themselves.
+  const auto expect_well_formed = [&](const nn::GraphContext& ctx,
+                                      const std::string& what) {
+    BinaryWriter resave;
+    core::SaveGraphStructure(&resave, ctx.graph);
+    BinaryReader r(resave.data());
+    EXPECT_EQ(r.ReadI32(), features.rows()) << what;
+    const uint64_t num_edges = r.ReadU64();
+    EXPECT_EQ(num_edges, static_cast<uint64_t>(ctx.graph.num_edges())) << what;
+    int prev_u = -1, prev_v = -1;
+    for (uint64_t i = 0; i < num_edges; ++i) {
+      const int u = r.ReadI32();
+      const int v = r.ReadI32();
+      EXPECT_TRUE(0 <= u && u < v && v < features.rows()) << what;
+      EXPECT_TRUE(u > prev_u || (u == prev_u && v > prev_v)) << what;
+      prev_u = u;
+      prev_v = v;
+    }
+    EXPECT_TRUE(r.AtEnd()) << what;
+    nn::GraphContext reloaded;
+    ASSERT_TRUE(AcceptGraphContext(resave.data(), features, &reloaded)) << what;
+    BinaryWriter again;
+    core::SaveGraphStructure(&again, reloaded.graph);
+    EXPECT_EQ(again.data(), resave.data()) << what;
+  };
+  expect_well_formed(intact, "intact");
+
+  // Every strict prefix is short of its declared edge count.
+  for (size_t len = 0; len < golden.size(); ++len) {
+    nn::GraphContext ctx;
+    EXPECT_FALSE(AcceptGraphContext(golden.substr(0, len), features, &ctx))
+        << "truncated to " << len;
+  }
+
+  int accepted = 0;
+  for (size_t offset = 0; offset < golden.size(); ++offset) {
+    for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+      std::string flipped = golden;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ mask);
+      nn::GraphContext ctx;
+      if (!AcceptGraphContext(flipped, features, &ctx)) continue;
+      ++accepted;
+      expect_well_formed(ctx, "offset " + std::to_string(offset) + " mask " +
+                                  std::to_string(mask));
+    }
+  }
+  // Low-bit flips of an in-range endpoint stay in range: some mutations are
+  // valid graphs, so the sweep exercises both outcomes.
+  EXPECT_GT(accepted, 0);
+}
+
 TEST(ArtifactTest, WritesUniformSchemaGolden) {
   Sweep sweep;
   sweep.name = "artifact_probe";

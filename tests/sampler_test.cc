@@ -24,7 +24,7 @@
 #include "data/scale_gen.h"
 #include "data/split.h"
 #include "fairness/bias_metric.h"
-#include "graph/csr_builder.h"
+#include "graph/graph.h"
 #include "influence/hvp.h"
 #include "influence/influence.h"
 #include "influence/param_vector.h"
@@ -38,7 +38,7 @@
 namespace ppfr {
 namespace {
 
-graph::CsrAdjacency TestAdjacency(uint64_t seed = 5, int64_t nodes = 600) {
+graph::Graph TestAdjacency(uint64_t seed = 5, int64_t nodes = 600) {
   data::ScaleGraphConfig cfg;
   cfg.num_nodes = nodes;
   cfg.num_blocks = 3;
@@ -65,7 +65,7 @@ bool BlocksEqual(const nn::Block& a, const nn::Block& b) {
 }
 
 TEST(NeighborSamplerTest, BlocksAreDeterministicAcrossInstancesAndThreads) {
-  const graph::CsrAdjacency adj = TestAdjacency();
+  const graph::Graph adj = TestAdjacency();
   const nn::SamplerConfig cfg{.fanout = 3, .num_hops = 2, .seed = 17};
   const std::vector<int> targets = {5, 99, 311, 42};
 
@@ -104,7 +104,7 @@ TEST(NeighborSamplerTest, BlocksAreDeterministicAcrossInstancesAndThreads) {
 }
 
 TEST(NeighborSamplerTest, FanoutCapBindsAndWeightsAreRowStochastic) {
-  const graph::CsrAdjacency adj = TestAdjacency();
+  const graph::Graph adj = TestAdjacency();
   const int fanout = 3;
   const nn::NeighborSampler sampler(&adj, {.fanout = fanout, .num_hops = 2,
                                            .seed = 9});
@@ -149,7 +149,7 @@ TEST(NeighborSamplerTest, FanoutCapBindsAndWeightsAreRowStochastic) {
 }
 
 TEST(NeighborSamplerTest, FullFanoutBlockIsTheExactTwoHopNeighbourhood) {
-  const graph::CsrAdjacency adj = TestAdjacency();
+  const graph::Graph adj = TestAdjacency();
   const nn::NeighborSampler sampler(&adj, {.fanout = nn::kAllNeighbors,
                                            .num_hops = 2, .seed = 1});
   const std::vector<int> targets = {7, 123, 456};
@@ -254,7 +254,7 @@ TEST(SampledTrainingTest, FullFanoutMatchesFullBatchWithinTolerance) {
   auto full_model = nn::MakeModel(nn::ModelKind::kGraphSage, cfg.feature_dim,
                                   dataset.num_classes(), /*seed=*/21);
   nn::GraphContext ctx = nn::GraphContext::Build(
-      dataset.adjacency().ToGraph(), dataset.MaterializeFeatures());
+      dataset.adjacency(), dataset.MaterializeFeatures());
   const nn::TrainStats full =
       nn::Train(full_model.get(), ctx, train_nodes, full_labels, tc);
 
@@ -335,7 +335,7 @@ TEST(SampledTrainingTest, MiniBatchRunsAreDeterministicAndLearn) {
 }
 
 TEST(SampledTrainingDeathTest, GuardsMisuse) {
-  const graph::CsrAdjacency adj = TestAdjacency();
+  const graph::Graph adj = TestAdjacency();
   // Zero fanout is a configuration bug, not a request for isolated nodes.
   EXPECT_DEATH(nn::NeighborSampler(&adj, {.fanout = 0, .num_hops = 2,
                                           .seed = 1}),

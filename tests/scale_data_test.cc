@@ -1,20 +1,20 @@
 // Tests for the scale axis's data layer: the streamed power-law block-model
 // generator (data/scale_gen) and the bounded-peak-memory CSR builder
-// (graph/csr_builder). The load-bearing properties: every stream is a pure
-// function of (config, seed) and replays bit-identically; the two-pass
-// builder produces the same structure as the edge-list path; the hardening
-// contracts (node-count ceiling, endpoint bounds, replay mismatch) abort
-// with messages naming their limits.
+// (graph::Graph::FromEdgeStream). The load-bearing properties: every stream
+// is a pure function of (config, seed) and replays bit-identically; the
+// two-pass builder produces exactly the stream's canonical pair set; the
+// hardening contracts (node-count ceiling, endpoint bounds, replay mismatch)
+// abort with messages naming their limits.
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/scale_gen.h"
-#include "graph/csr_builder.h"
 #include "graph/graph.h"
 #include "la/matrix.h"
 #include "test_util.h"
@@ -80,39 +80,50 @@ TEST(ScaleGenTest, BlockLabelsPartitionTheIdSpace) {
   }
 }
 
-TEST(CsrBuilderTest, MatchesEdgeListGraphBitForBit) {
+TEST(CsrBuilderTest, MatchesCanonicalPairOracle) {
   const data::ScaleGraphConfig cfg = SmallScaleConfig();
   const data::ScaleDataset dataset(cfg, 11);
-  const graph::CsrAdjacency& adj = dataset.adjacency();
+  const graph::Graph& adj = dataset.adjacency();
 
-  // Reference construction through the materialised edge-list path.
-  std::vector<graph::Edge> edges;
+  // Oracle: the set of canonical (min, max) pairs in the streamed multiset,
+  // self-loops dropped, and the sorted neighbour rows it implies.
+  std::set<std::pair<int, int>> pairs;
   data::StreamScaleEdges(cfg, 11, [&](int64_t u, int64_t v) {
-    if (u != v) edges.push_back({static_cast<int>(u), static_cast<int>(v)});
+    if (u != v) {
+      pairs.emplace(static_cast<int>(std::min(u, v)), static_cast<int>(std::max(u, v)));
+    }
   });
-  const graph::Graph reference =
-      graph::Graph::FromEdges(static_cast<int>(cfg.num_nodes), edges);
-  const graph::CsrAdjacency from_graph = graph::CsrAdjacency::FromGraph(reference);
+  std::vector<std::vector<int>> rows(static_cast<size_t>(cfg.num_nodes));
+  for (const auto& [u, v] : pairs) {
+    rows[u].push_back(v);
+    rows[v].push_back(u);
+  }
 
-  EXPECT_EQ(adj.row_ptr(), from_graph.row_ptr());
-  EXPECT_EQ(adj.adj(), from_graph.adj());
-  EXPECT_EQ(adj.num_edges(), reference.num_edges());
+  ASSERT_EQ(adj.num_nodes(), cfg.num_nodes);
+  EXPECT_EQ(adj.num_edges(), static_cast<int64_t>(pairs.size()));
+  for (int v = 0; v < adj.num_nodes(); ++v) {
+    std::sort(rows[v].begin(), rows[v].end());
+    const auto nbrs = adj.Neighbors(v);
+    ASSERT_EQ(adj.Degree(v), static_cast<int>(rows[v].size())) << "node " << v;
+    ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), rows[v].begin(), rows[v].end()))
+        << "node " << v;
+  }
 
-  // Round trip back to the edge-list world.
-  const graph::Graph round_trip = adj.ToGraph();
-  EXPECT_EQ(round_trip.num_nodes(), reference.num_nodes());
-  EXPECT_EQ(round_trip.num_edges(), reference.num_edges());
-  for (int v = 0; v < reference.num_nodes(); ++v) {
-    const auto got = round_trip.Neighbors(v);
-    const auto want = reference.Neighbors(v);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  // Edges() lists exactly the oracle's pairs in its (u, v) order.
+  const std::vector<graph::Edge> edges = adj.Edges();
+  ASSERT_EQ(edges.size(), pairs.size());
+  size_t i = 0;
+  for (const auto& [u, v] : pairs) {
+    ASSERT_EQ(edges[i].u, u) << "edge " << i;
+    ASSERT_EQ(edges[i].v, v) << "edge " << i;
+    ++i;
   }
 }
 
 TEST(CsrBuilderTest, NeighboursAreSortedDeduplicatedAndSymmetric) {
   const data::ScaleDataset dataset(SmallScaleConfig(), 19);
-  const graph::CsrAdjacency& adj = dataset.adjacency();
-  for (int64_t v = 0; v < adj.num_nodes(); ++v) {
+  const graph::Graph& adj = dataset.adjacency();
+  for (int v = 0; v < adj.num_nodes(); ++v) {
     const auto nbrs = adj.Neighbors(v);
     for (size_t i = 0; i + 1 < nbrs.size(); ++i) {
       ASSERT_LT(nbrs[i], nbrs[i + 1]);  // sorted AND duplicate-free
@@ -120,29 +131,28 @@ TEST(CsrBuilderTest, NeighboursAreSortedDeduplicatedAndSymmetric) {
     for (int u : nbrs) {
       ASSERT_NE(u, v);  // self-loops dropped
       const auto back = adj.Neighbors(u);
-      ASSERT_TRUE(std::binary_search(back.begin(), back.end(),
-                                     static_cast<int>(v)));
+      ASSERT_TRUE(std::binary_search(back.begin(), back.end(), v));
     }
   }
 }
 
 TEST(CsrBuilderDeathTest, RejectsNodeCountsPastTheInt32Ceiling) {
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
+  EXPECT_DEATH(graph::Graph::FromEdgeStream(
                    graph::kMaxCsrNodes + 1,
-                   [](const std::function<void(int64_t, int64_t)>&) {}),
+                   [](const graph::EdgeEmitter&) {}),
                "kMaxCsrNodes");
 }
 
 TEST(CsrBuilderDeathTest, RejectsOutOfRangeEndpoints) {
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
+  EXPECT_DEATH(graph::Graph::FromEdgeStream(
                    10,
-                   [](const std::function<void(int64_t, int64_t)>& emit) {
+                   [](const graph::EdgeEmitter& emit) {
                      emit(3, 10);  // v == num_nodes
                    }),
                "CHECK failed");
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
+  EXPECT_DEATH(graph::Graph::FromEdgeStream(
                    10,
-                   [](const std::function<void(int64_t, int64_t)>& emit) {
+                   [](const graph::EdgeEmitter& emit) {
                      emit(-1, 3);
                    }),
                "CHECK failed");
@@ -151,10 +161,9 @@ TEST(CsrBuilderDeathTest, RejectsOutOfRangeEndpoints) {
 TEST(CsrBuilderDeathTest, RejectsNonReplayableStreams) {
   // Emits one edge on the first pass, two on the second — the counting pass
   // and the placement pass disagree, which must abort, not corrupt.
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
+  EXPECT_DEATH(graph::Graph::FromEdgeStream(
                    10,
-                   [calls = 0](const std::function<void(int64_t, int64_t)>&
-                                   emit) mutable {
+                   [calls = 0](const graph::EdgeEmitter& emit) mutable {
                      emit(1, 2);
                      if (++calls == 2) emit(3, 4);
                    }),
@@ -242,13 +251,20 @@ TEST(ArenaAccountingTest, TracksLiveBufferBytesAndPeak) {
   EXPECT_EQ(la::ArenaBytesInUse(), base);  // destruction unwinds the counter
   EXPECT_GE(la::ArenaPeakBytes(), base);
 
-  // The CSR adjacency registers its logical bytes as well.
+  // Every graph registers its CSR bytes as well, however it was built.
+  const auto csr_bytes = [](const graph::Graph& g) {
+    return static_cast<int64_t>(g.row_ptr().size()) * sizeof(int64_t) +
+           static_cast<int64_t>(g.adj().size()) * sizeof(int);
+  };
+  {
+    const graph::Graph g = ppfr::testing::SmallGraph();
+    EXPECT_EQ(la::ArenaBytesInUse(), base + csr_bytes(g));
+    const graph::Graph copy = g;
+    EXPECT_EQ(la::ArenaBytesInUse(), base + 2 * csr_bytes(g));
+  }
+  EXPECT_EQ(la::ArenaBytesInUse(), base);
   const data::ScaleDataset dataset(SmallScaleConfig(), 37);
-  const graph::CsrAdjacency& adj = dataset.adjacency();
-  const int64_t csr_bytes =
-      static_cast<int64_t>(adj.row_ptr().size()) * sizeof(int64_t) +
-      static_cast<int64_t>(adj.adj().size()) * sizeof(int);
-  EXPECT_GE(la::ArenaBytesInUse(), base + csr_bytes);
+  EXPECT_GE(la::ArenaBytesInUse(), base + csr_bytes(dataset.adjacency()));
 
   // Peak-RSS readout: monotone, and available on Linux.
   const int64_t rss = la::ProcessPeakRssBytes();
