@@ -4,9 +4,8 @@
 //   * per-node loss gradients — the pre-overhaul serial algorithm (one
 //     growing tape, full ZeroAllGrads sweep per node) versus the TapePool
 //     path (reachability-pruned, row-support-zeroed, fanned across lanes);
-//   * the damped-CG solve behind InfluenceOnBias on the replayed
-//     ReusableLossGraph arena (the fresh-tape-per-evaluation path it was once
-//     compared against now costs the same, so only the solve time is kept).
+//   * the single-RHS damped-CG solve of the bias influence, its probe
+//     gradients replayed on pooled model clones.
 // The pooled per-node gradients are verified BITWISE against the serial
 // reference before any timing is reported, and dense-buffer allocations are
 // counted via la::MatrixAllocCount. A third column times the pooled path
@@ -75,16 +74,20 @@ struct PathResult {
   std::vector<std::vector<double>> grads;
 };
 
+// Times PerNodeLossGrads, or with `serial` its serial reference algorithm.
 PathResult TimePerNodeGrads(nn::GnnModel* model, const nn::GraphContext& ctx,
                             const std::vector<int>& train_nodes,
                             const std::vector<int>& labels,
-                            const influence::InfluenceConfig& config, int reps) {
+                            const influence::InfluenceConfig& config, bool serial,
+                            int reps) {
   PathResult result;
   for (int rep = 0; rep < reps; ++rep) {
     influence::InfluenceCalculator calc(model, ctx, train_nodes, labels, config);
+    std::vector<std::vector<double>> serial_grads;
     const int64_t alloc0 = la::MatrixAllocCount();
     Stopwatch watch;
-    const auto& grads = calc.PerNodeLossGrads();
+    if (serial) serial_grads = calc.PerNodeLossGradsSerialReference();
+    const auto& grads = serial ? serial_grads : calc.PerNodeLossGrads();
     result.seconds += watch.ElapsedSeconds();
     result.allocs += la::MatrixAllocCount() - alloc0;
     if (rep == 0) result.grads = grads;
@@ -105,7 +108,7 @@ double TimeBiasSolve(nn::GnnModel* model, const nn::GraphContext& ctx,
     // CG, which is what the tape arena accelerates.
     calc.PerNodeLossGrads();
     Stopwatch watch;
-    calc.InfluenceOnBias(sim.laplacian);
+    calc.InfluenceOnFunction(influence::InfluenceCalculator::BiasFunction(sim.laplacian));
     seconds += watch.ElapsedSeconds();
   }
   return seconds / reps;
@@ -182,8 +185,9 @@ PipelineBlockRun TimeNodeLossSweep(nn::GnnModel* model, const nn::GraphContext& 
 // the gradient at an absolute point p is A·p − c and the batched probe
 // evaluation is ONE backend GEMM over all stacked points — A is streamed once
 // per block iteration instead of once per probe. The single-RHS path pays the
-// same closure one point at a time (a memory-bound GEMV-shaped product),
-// which is exactly the BLAS-1/2 regime the block solver replaces.
+// same closure one direction's two probe points at a time (a memory-bound,
+// GEMV-shaped product), which is exactly the BLAS-1/2 regime the block
+// solver replaces.
 struct SyntheticQuadratic {
   ag::Parameter theta;
   la::Matrix a;  // symmetric, eigenvalues ≈ [2, 4]
@@ -226,10 +230,6 @@ struct SyntheticQuadratic {
       for (int j = 0; j < n; ++j) g[static_cast<size_t>(j)] -= c[static_cast<size_t>(j)];
     }
     return grads;
-  }
-
-  influence::GradFn MakeGradFn() {
-    return [this] { return GradsAt({influence::FlattenValues({&theta})})[0]; };
   }
 
   influence::BatchGradFn MakeBatchGradFn() {
@@ -277,7 +277,7 @@ SweepRow RunSweepPoint(SyntheticQuadratic* problem, const influence::MultiVector
       std::vector<int> cols(static_cast<size_t>(width));
       for (int j = 0; j < width; ++j) cols[static_cast<size_t>(j)] = start + j;
       const influence::BlockCgResult part = influence::BlockConjugateGradientSolve(
-          {&problem->theta}, problem->MakeGradFn(), problem->MakeBatchGradFn(),
+          influence::FlattenValues({&problem->theta}), problem->MakeBatchGradFn(),
           b.SelectColumns(cols), options);
       for (int j = 0; j < width; ++j) {
         if (rep == 0) x.SetColumn(start + j, part.x.Column(j));
@@ -373,17 +373,14 @@ int Main(int argc, char** argv) {
               nodes, degree, train_count, la::ActiveBackend().name().c_str(),
               la::ActiveBackend().num_threads(), lanes);
 
-  influence::InfluenceConfig before;
-  before.serial_reference_per_node = true;
-
   influence::InfluenceConfig after;
   after.tape_pool_lanes = lanes;
   after.replay_lanes = replay_lanes;
 
   const PathResult serial = TimePerNodeGrads(model.get(), ctx, split.train,
-                                             data.labels, before, reps);
+                                             data.labels, after, /*serial=*/true, reps);
   const PathResult pooled = TimePerNodeGrads(model.get(), ctx, split.train,
-                                             data.labels, after, reps);
+                                             data.labels, after, /*serial=*/false, reps);
 
   const bool bitwise = BitwiseEqual(serial.grads, pooled.grads);
   std::printf("per-node grads pooled-vs-serial bitwise: %s\n", bitwise ? "OK" : "FAIL");
@@ -398,10 +395,10 @@ int Main(int argc, char** argv) {
   if (la::ActiveBackendKind() != la::BackendKind::kSimd) {
     la::ScopedBackend scoped(la::BackendKind::kSimd,
                              la::ActiveBackend().num_threads());
-    simd_serial =
-        TimePerNodeGrads(model.get(), ctx, split.train, data.labels, before, reps);
-    simd_pooled =
-        TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after, reps);
+    simd_serial = TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after,
+                                   /*serial=*/true, reps);
+    simd_pooled = TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after,
+                                   /*serial=*/false, reps);
     simd_bitwise = BitwiseEqual(simd_serial.grads, simd_pooled.grads);
     std::printf("per-node grads pooled-vs-serial bitwise (simd backend): %s\n",
                 simd_bitwise ? "OK" : "FAIL");

@@ -8,6 +8,8 @@
 #include <limits>
 #include <string_view>
 
+#include "common/check.h"
+
 namespace ppfr {
 namespace {
 
@@ -39,6 +41,16 @@ bool ParseInt64Strict(const std::string& s, int64_t* out) {
   if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
   *out = static_cast<int64_t>(v);
   return true;
+}
+
+int64_t EnvInt64OrDie(const char* name, int64_t def, int64_t lo, int64_t hi) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return def;
+  int64_t v = 0;
+  PPFR_CHECK(ParseInt64Strict(env, &v) && v >= lo && v <= hi)
+      << name << " wants an integer in [" << lo << ", " << hi << "], got '" << env
+      << "'";
+  return v;
 }
 
 bool ParseUint64Strict(const std::string& s, uint64_t* out) {

@@ -15,6 +15,12 @@ bool ParseInt64Strict(const std::string& s, int64_t* out);
 bool ParseUint64Strict(const std::string& s, uint64_t* out);
 bool ParseDoubleStrict(const std::string& s, double* out);
 
+// Reads the integer environment variable `name` with ParseInt64Strict: unset
+// or empty yields `def`; a value that does not parse or lies outside
+// [lo, hi] aborts naming the variable and the value, so a typo such as
+// PPFR_CG_BLOCK=16x never silently runs some other configuration.
+int64_t EnvInt64OrDie(const char* name, int64_t def, int64_t lo, int64_t hi);
+
 // Minimal --key=value command-line parsing for the bench/example binaries.
 // Unknown flags are kept and queryable; "--flag" alone parses as "true".
 // Typed getters parse strictly: a malformed value ("--seed=12abc", overflow,

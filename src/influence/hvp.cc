@@ -11,39 +11,6 @@
 
 namespace ppfr::influence {
 
-std::vector<double> HessianVectorProductWithNorm(
-    const std::vector<ag::Parameter*>& params, const GradFn& grad_fn,
-    const std::vector<double>& v, double norm, double step) {
-  if (norm == 0.0) return std::vector<double>(v.size(), 0.0);
-
-  const std::vector<double> theta = FlattenValues(params);
-  PPFR_CHECK_EQ(theta.size(), v.size());
-
-  std::vector<double> theta_shifted = theta;
-  const double r = step / norm;
-  VecAxpy(r, v, &theta_shifted);
-  SetValues(params, theta_shifted);
-  std::vector<double> g_plus = grad_fn();
-
-  theta_shifted = theta;
-  VecAxpy(-r, v, &theta_shifted);
-  SetValues(params, theta_shifted);
-  const std::vector<double> g_minus = grad_fn();
-
-  SetValues(params, theta);  // restore
-
-  for (size_t i = 0; i < g_plus.size(); ++i) {
-    g_plus[i] = (g_plus[i] - g_minus[i]) / (2.0 * r);
-  }
-  return g_plus;
-}
-
-std::vector<double> HessianVectorProduct(const std::vector<ag::Parameter*>& params,
-                                         const GradFn& grad_fn,
-                                         const std::vector<double>& v, double step) {
-  return HessianVectorProductWithNorm(params, grad_fn, v, VecNorm(v), step);
-}
-
 MultiVector BatchedHessianVectorProduct(const std::vector<double>& theta,
                                         const BatchGradFn& batch_grad,
                                         const MultiVector& v,
@@ -94,17 +61,10 @@ MultiVector BatchedHessianVectorProduct(const std::vector<double>& theta,
   return hv;
 }
 
-namespace {
-
-// The CG recurrence over an abstract damped matvec; the public single-RHS
-// entry point wraps the finite-difference HVP into it. `matvec(v, norm)`
-// receives ‖v‖ precomputed by the fused updates (bitwise equal to
-// sqrt(VecDot(v, v))), so the HVP's normalisation costs no extra pass.
-using DampedMatVec =
-    std::function<std::vector<double>(const std::vector<double>& v, double norm)>;
-
-CgResult CgCore(const DampedMatVec& matvec, const std::vector<double>& b,
-                const CgOptions& options) {
+CgResult ConjugateGradientSolve(const std::vector<double>& theta,
+                                const BatchGradFn& batch_grad,
+                                const std::vector<double>& b, const CgOptions& options) {
+  PPFR_CHECK_GT(options.damping, 0.0);
   const size_t n = b.size();
   CgResult result;
   result.x.assign(n, 0.0);
@@ -117,7 +77,13 @@ CgResult CgCore(const DampedMatVec& matvec, const std::vector<double>& b,
 
   for (int it = 0; it < options.max_iterations; ++it) {
     result.iterations = it + 1;
-    const std::vector<double> ap = matvec(p, std::sqrt(p_norm_sq));
+    // Ap = (H + λI)·p as a one-column batched HVP; ‖p‖² comes from the fused
+    // updates (bitwise equal to VecDot(p, p)), so normalising costs no pass.
+    std::vector<double> ap =
+        BatchedHessianVectorProduct(theta, batch_grad, MultiVector::FromColumns({p}),
+                                    {p_norm_sq}, options.hvp_step)
+            .Column(0);
+    VecAxpy(options.damping, p, &ap);
     const double p_ap = VecDot(p, ap);
     if (p_ap <= 0.0) break;  // numerical loss of positive-definiteness
     const double alpha = rs_old / p_ap;
@@ -134,6 +100,8 @@ CgResult CgCore(const DampedMatVec& matvec, const std::vector<double>& b,
   result.residual_norm = std::sqrt(rs_cur);
   return result;
 }
+
+namespace {
 
 // Cholesky factorisation of the k×k Gram matrix S = PᵀAP (lower triangle
 // only — S is symmetric up to roundoff). A failing pivot j means direction j
@@ -196,21 +164,7 @@ la::Matrix Submatrix(const la::Matrix& m, const std::vector<int>& keep) {
 
 }  // namespace
 
-CgResult ConjugateGradientSolve(const std::vector<ag::Parameter*>& params,
-                                const GradFn& grad_fn, const std::vector<double>& b,
-                                const CgOptions& options) {
-  PPFR_CHECK_GT(options.damping, 0.0);
-  auto matvec = [&](const std::vector<double>& v, double norm) {
-    std::vector<double> hv =
-        HessianVectorProductWithNorm(params, grad_fn, v, norm, options.hvp_step);
-    VecAxpy(options.damping, v, &hv);
-    return hv;
-  };
-  return CgCore(matvec, b, options);
-}
-
-BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& params,
-                                          const GradFn& grad_fn,
+BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
                                           const BatchGradFn& batch_grad,
                                           const MultiVector& b,
                                           const CgOptions& options) {
@@ -223,6 +177,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
   result.iterations.assign(static_cast<size_t>(k), 0);
   result.converged.assign(static_cast<size_t>(k), false);
   if (k == 0) return result;
+  PPFR_CHECK_EQ(static_cast<int64_t>(theta.size()), dim);
 
   // Pre-pass: zero columns are trivially solved, and bitwise-duplicate
   // columns are solved once through a representative (this also keeps the
@@ -253,7 +208,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
   // construction rather than by numerical accident.
   if (unique.size() == 1) {
     const CgResult single =
-        ConjugateGradientSolve(params, grad_fn, b.Column(unique[0]), options);
+        ConjugateGradientSolve(theta, batch_grad, b.Column(unique[0]), options);
     result.stats.block_iterations = single.iterations;
     result.stats.grad_evals = 2 * single.iterations;
     const double b_norm =
@@ -272,8 +227,6 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
   // Compacted block state over the active (not yet converged) unique
   // columns. `active[j]` maps compacted position j back to the original
   // column index.
-  const std::vector<double> theta = FlattenValues(params);
-  PPFR_CHECK_EQ(static_cast<int64_t>(theta.size()), dim);
   std::vector<int> active = unique;
   MultiVector x_act(dim, static_cast<int>(active.size()));  // zeros
   MultiVector r_act = b.SelectColumns(active);
@@ -293,7 +246,6 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
         std::max(std::sqrt(b_norms_sq[static_cast<size_t>(j)]), 1e-30);
   }
 
-  Stopwatch total_watch;
   auto finish_column = [&](int pos, int iters, bool converged) {
     const int orig = active[static_cast<size_t>(pos)];
     result.x.SetColumn(orig, x_act.Column(pos));
@@ -463,14 +415,8 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
     // x_j += e_j — deterministic, and convergence is still judged against the
     // ORIGINAL ‖b_j‖. A column frozen before any block update (x_j = 0,
     // r_j = b_j) reproduces the oracle on its original system bitwise.
-    auto fallback_matvec = [&](const std::vector<double>& v, double norm) {
-      std::vector<double> hv =
-          HessianVectorProductWithNorm(params, grad_fn, v, norm, options.hvp_step);
-      VecAxpy(options.damping, v, &hv);
-      return hv;
-    };
     for (const DeferredColumn& col : deferred) {
-      const CgResult fix = CgCore(fallback_matvec, col.r, options);
+      const CgResult fix = ConjugateGradientSolve(theta, batch_grad, col.r, options);
       // The fallback is the last line of defence: if even the single-RHS
       // oracle diverges on this residual system, the Hessian itself is
       // numerically broken for this cell's data — recoverable (other cells
@@ -493,7 +439,6 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
   result.stats.block_iterations = iter;
   result.stats.algebra_seconds = algebra_seconds;
   result.stats.algebra_flops = algebra_flops;
-  (void)total_watch;
 
   // Copy representative solutions into their duplicate columns.
   for (int j = 0; j < k; ++j) {

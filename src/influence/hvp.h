@@ -4,45 +4,28 @@
 #include <functional>
 #include <vector>
 
-#include "autograd/tape.h"
 #include "influence/param_vector.h"
 
 namespace ppfr::influence {
 
-// Computes the flat training-loss gradient ∇θL at the CURRENT parameter
-// values (implementations run a forward/backward pass and flatten).
-using GradFn = std::function<std::vector<double>()>;
-
 // Evaluates the flat training-loss gradient at each of the given ABSOLUTE
-// parameter points, returning one gradient per point (same order). Must
-// leave the model's parameters as it found them. Implementations replay a
-// recorded loss tape once per point — serially, or fanned across a
-// GradLanePool of model clones (see influence/tape_pool.h); either way each
-// point's gradient is independent of the batching, so results are bitwise
-// identical for any lane count.
+// parameter points, returning one gradient per point (same order) — the one
+// gradient source of every inverse-HVP solve. InfluenceCalculator's
+// implementation replays a recorded loss tape per point on a GradLanePool of
+// model clones (see influence/tape_pool.h), so no solve ever writes the
+// model's parameters, and each point's gradient is bitwise independent of
+// the batching, lane count and fused width.
 using BatchGradFn = std::function<std::vector<std::vector<double>>(
     const std::vector<std::vector<double>>& points)>;
 
-// Hessian-vector product H·v by central finite differences of the gradient:
-//   H v ≈ [∇L(θ + r v̂) − ∇L(θ − r v̂)] / (2 r) · ‖v‖,  v̂ = v/‖v‖
-// Restores θ afterwards. Zero vector in, zero vector out.
-std::vector<double> HessianVectorProduct(const std::vector<ag::Parameter*>& params,
-                                         const GradFn& grad_fn,
-                                         const std::vector<double>& v,
-                                         double step = 1e-4);
-
-// As above with ‖v‖ supplied by the caller (the CG loop already has it from
-// the fused direction update, saving a dot pass per iteration). `norm` must
-// equal the bits of sqrt(VecDot(v, v)).
-std::vector<double> HessianVectorProductWithNorm(
-    const std::vector<ag::Parameter*>& params, const GradFn& grad_fn,
-    const std::vector<double>& v, double norm, double step = 1e-4);
-
-// Batched central-difference HVP: column j of the result is H·v_j, with all
-// probe-point gradients gathered into ONE BatchGradFn call (2 probe points
-// per nonzero column, one tape replay per probe point — never per column).
-// `col_norms_sq[j]` must equal the bits of VecDot(v_j, v_j); zero columns
-// yield zero columns. `theta` is the expansion point (the solver's fixed θ*).
+// Central-difference HVP, the only one the solvers use: column j of the
+// result is
+//   H v_j ≈ [∇L(θ + r v_j) − ∇L(θ − r v_j)] / (2 r),  r = step/‖v_j‖,
+// with all probe-point gradients gathered into ONE BatchGradFn call (2 probe
+// points per nonzero column, one tape replay per probe point — never per
+// column). `col_norms_sq[j]` must equal the bits of VecDot(v_j, v_j) (the CG
+// loops already have them from their fused updates); zero columns yield zero
+// columns. `theta` is the expansion point (the solver's fixed θ*).
 MultiVector BatchedHessianVectorProduct(const std::vector<double>& theta,
                                         const BatchGradFn& batch_grad,
                                         const MultiVector& v,
@@ -65,13 +48,14 @@ struct CgResult {
 // Damped conjugate-gradient solve of (H + λI) x = b with implicit H via
 // finite-difference HVPs. This is the standard Koh & Liang inverse-HVP
 // machinery; damping keeps the system positive definite when the model is
-// not at an exact minimum. This single-RHS path is the bitwise oracle the
-// block solver is gated against; its axpy+dot pairs run through the fused
-// Backend::VAxpyDot / Backend::VDotAxpy kernels (bitwise equal to the
-// unfused sequences, in fewer memory passes).
-CgResult ConjugateGradientSolve(const std::vector<ag::Parameter*>& params,
-                                const GradFn& grad_fn, const std::vector<double>& b,
-                                const CgOptions& options);
+// not at an exact minimum. Every matvec is a one-column
+// BatchedHessianVectorProduct around `theta`. This single-RHS path is the
+// bitwise oracle the block solver is gated against; its axpy+dot pairs run
+// through the fused Backend::VAxpyDot / Backend::VDotAxpy kernels (bitwise
+// equal to the unfused sequences, in fewer memory passes).
+CgResult ConjugateGradientSolve(const std::vector<double>& theta,
+                                const BatchGradFn& batch_grad,
+                                const std::vector<double>& b, const CgOptions& options);
 
 // Block-solve instrumentation, surfaced into BENCH_influence.json.
 struct BlockCgStats {
@@ -121,11 +105,12 @@ struct BlockCgResult {
 //     frozen and finished through the single-RHS oracle on their residual
 //     equations: deterministic, judged against the original ‖b_j‖, and a
 //     column frozen before any block update reproduces the oracle on its
-//     original system bitwise.
-// `grad_fn` and `batch_grad` must evaluate the same gradient (grad_fn at the
-// current parameters, batch_grad at explicit points).
-BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& params,
-                                          const GradFn& grad_fn,
+//     original system bitwise. The finisher's probe gradients count into
+//     stats.grad_evals; a non-finite finisher residual throws a
+//     (non-transient) RecoverableError.
+// Every HVP — block, k = 1 delegate and finisher — is a
+// BatchedHessianVectorProduct around `theta` through `batch_grad`.
+BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
                                           const BatchGradFn& batch_grad,
                                           const MultiVector& b,
                                           const CgOptions& options);

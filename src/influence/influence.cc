@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "common/flags.h"
 #include "fairness/bias_metric.h"
 #include "influence/param_vector.h"
 #include "la/backend.h"
@@ -89,20 +89,14 @@ const std::shared_ptr<const BlockInput>& InfluenceCalculator::TrainBlock() {
 
 int ResolveCgBlock(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("PPFR_CG_BLOCK")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 8;
+  return static_cast<int>(
+      EnvInt64OrDie("PPFR_CG_BLOCK", 8, 1, std::numeric_limits<int>::max()));
 }
 
 int ResolveReplayLanes(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("PPFR_REPLAY_LANES")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 8;
+  return static_cast<int>(
+      EnvInt64OrDie("PPFR_REPLAY_LANES", 8, 1, std::numeric_limits<int>::max()));
 }
 
 int InfluenceCalculator::ResolvedCgBlock() const {
@@ -119,37 +113,18 @@ int InfluenceCalculator::ResolvedLanes(int num_items) const {
   return std::max(1, std::min(lanes, num_items));
 }
 
-std::vector<double> InfluenceCalculator::TrainingLossGrad() {
-  const BlockInput& input = *TrainBlock();
-  const auto build_loss = [this, &input](ag::Tape& tape) {
-    ag::Var logp = ag::LogSoftmaxRows(BlockLogits(model_, tape, input, 1));
-    const std::vector<double> ones(train_nodes_.size(), 1.0);
-    return ag::WeightedNll(logp, train_rows_, train_labels_, ones,
-                           static_cast<double>(train_nodes_.size()));
-  };
-  if (config_.reuse_grad_tape) {
-    if (train_grad_graph_ == nullptr) {
-      train_grad_graph_ = std::make_unique<ReusableLossGraph>(build_loss, params_);
-    }
-    return train_grad_graph_->Grad();
-  }
-  return ReusableLossGraph(build_loss, params_).Grad();
-}
-
 std::vector<double> InfluenceCalculator::FunctionGrad(const FunctionBuilder& build_f) {
-  for (ag::Parameter* p : params_) p->ZeroGrad();
   ag::Tape tape;
+  tape.set_accumulate_param_grads(false);
   ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-  ag::Var f = build_f(tape, logits);
-  tape.Backward(f);
-  return FlattenGrads(params_);
+  tape.Backward(build_f(tape, logits));
+  std::vector<double> grad;
+  tape.FlattenLeafGrads(params_, &grad);
+  return grad;
 }
 
-const std::vector<std::vector<double>>& InfluenceCalculator::PerNodeLossGrads() {
-  if (!per_node_grads_.empty()) return per_node_grads_;
-  per_node_grads_ = config_.serial_reference_per_node ? PerNodeLossGradsSerialReference()
-                                                      : PerNodeLossGradsPooled();
-  return per_node_grads_;
+ReplayCache& InfluenceCalculator::Pools() {
+  return config_.replay_cache != nullptr ? *config_.replay_cache : owned_pools_;
 }
 
 TapePool* InfluenceCalculator::SharedForwardPool() {
@@ -165,24 +140,20 @@ TapePool* InfluenceCalculator::SharedForwardPool() {
   const TapePool::Builder builder = [model, input = TrainBlock()](ag::Tape& tape) {
     return ag::LogSoftmaxRows(BlockLogits(model, tape, *input, 1));
   };
-  if (config_.replay_cache != nullptr) {
-    const std::string key =
-        "fwd:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) + ":" +
-        train_digest_ + ":" + std::to_string(lanes);
-    forward_pool_ = config_.replay_cache->GetOrCreateTapePool(
-        key, [&] { return std::make_unique<TapePool>(builder, params_, lanes); });
-  } else {
-    owned_forward_pool_ = std::make_unique<TapePool>(builder, params_, lanes);
-    forward_pool_ = owned_forward_pool_.get();
-  }
+  const std::string key = "fwd:" +
+                          std::to_string(reinterpret_cast<std::uintptr_t>(model_)) +
+                          ":" + train_digest_ + ":" + std::to_string(lanes);
+  forward_pool_ = Pools().GetOrCreateTapePool(
+      key, [&] { return std::make_unique<TapePool>(builder, params_, lanes); });
   return forward_pool_;
 }
 
-std::vector<std::vector<double>> InfluenceCalculator::PerNodeLossGradsPooled() {
+const std::vector<std::vector<double>>& InfluenceCalculator::PerNodeLossGrads() {
+  if (!per_node_grads_.empty()) return per_node_grads_;
   // Seed dL_v/dlogp = -1 at (v's block row, label_v) — exactly the gradient
   // the serial reference's single-node WeightedNll writes, so the paths stay
   // bitwise identical without materialising a loss node per seed.
-  return SharedForwardPool()->PerSeedGrads(
+  per_node_grads_ = SharedForwardPool()->PerSeedGrads(
       static_cast<int>(train_nodes_.size()),
       [this](int k, std::vector<int>* rows, std::vector<int>* cols,
              std::vector<double>* values) {
@@ -190,11 +161,9 @@ std::vector<std::vector<double>> InfluenceCalculator::PerNodeLossGradsPooled() {
         cols->push_back(train_labels_[static_cast<size_t>(k)]);
         values->push_back(-1.0);
       });
+  return per_node_grads_;
 }
 
-// The seed implementation, preserved as the parity oracle and the "before"
-// side of bench_influence_engine: one growing tape over the train block, a
-// full ZeroAllGrads sweep and a Parameter::grad round-trip per node.
 std::vector<std::vector<double>>
 InfluenceCalculator::PerNodeLossGradsSerialReference() {
   ag::Tape tape;
@@ -228,83 +197,85 @@ std::vector<double> InfluenceCalculator::NodeLossGradOverOwnBlock(int t) {
       .Grad();
 }
 
+GradLanePool* InfluenceCalculator::ProbePool(int max_points) {
+  // Every lane owns a full model clone, WIDENED to `width` parameter-column
+  // blocks: one replay of its lane-wide loss graph evaluates the gradient at
+  // `width` probe points through wide BLAS-3 passes. Probe evaluation never
+  // touches the real parameters. Thread-lane count follows tape_pool_lanes
+  // over the CHUNK count (a chunk = one fused replay); the per-point
+  // gradients are invariant bit for bit to both the thread-lane count and the
+  // fused width (each fused lane's arithmetic IS the serial graph's — see
+  // autograd/ops.cc lane ops). A pool wider than its largest call would only
+  // ever run pad lanes, so the width is clamped to `max_points`
+  // (replay_lanes = 8 at cg_block = 1 → width 2).
+  const int width = std::min(ResolvedReplayLanes(), std::max(1, max_points));
+  const int chunks = std::max(1, (max_points + width - 1) / width);
+  // A wide clone's tapes are `width`× a narrow clone's, so chunk workers
+  // beyond the backend's thread budget buy no concurrency and multiply the
+  // working set past cache — clamp to the threads that actually exist.
+  // Results are lane-count invariant bit for bit, so this only moves time.
+  const int lanes = std::max(
+      1, std::min(ResolvedLanes(chunks), la::ActiveBackend().num_threads()));
+  // Captures are by value / stable pointer (never `this`): a cache-owned
+  // pool outlives this calculator.
+  nn::GnnModel* model = model_;
+  const GradLanePool::WideLaneFactory factory =
+      [model, input = TrainBlock(), rows = train_rows_,
+       node_labels = train_labels_](int w) {
+        GradLane lane;
+        std::unique_ptr<nn::GnnModel> clone = model->Clone();
+        nn::GnnModel* m = clone.get();
+        nn::WidenModelParams(m, w);
+        lane.width = w;
+        lane.params = m->Params();
+        lane.graph = std::make_unique<ReusableLossGraph>(
+            [m, input, rows, node_labels, w](ag::Tape& tape) {
+              ag::Var logp =
+                  ag::LogSoftmaxRowsLanes(BlockLogits(m, tape, *input, w), w);
+              const std::vector<double> ones(rows.size(), 1.0);
+              return ag::WeightedNllLanes(logp, rows, node_labels, ones,
+                                          static_cast<double>(rows.size()), w);
+            },
+            lane.params);
+        lane.owner = std::shared_ptr<void>(std::move(clone));
+        return lane;
+      };
+  const std::string key = "lanes:" +
+                          std::to_string(reinterpret_cast<std::uintptr_t>(model_)) +
+                          ":" + train_digest_ + ":" + std::to_string(lanes) + "x" +
+                          std::to_string(width);
+  return Pools().GetOrCreateGradLanes(
+      key, [&] { return std::make_unique<GradLanePool>(factory, lanes, width); });
+}
+
 BatchGradFn InfluenceCalculator::BatchTrainGrad() {
-  if (grad_lane_pool_ == nullptr) {
-    // Every lane owns a full model clone, WIDENED to `width` parameter-column
-    // blocks: one replay of its lane-wide loss graph evaluates the gradient
-    // at `width` probe points through wide BLAS-3 passes. Probe evaluation
-    // never touches the real parameters. Thread-lane count follows
-    // tape_pool_lanes over the CHUNK count (a chunk = one fused replay); the
-    // per-point gradients are invariant bit for bit to both the thread-lane
-    // count and the fused width (each fused lane's arithmetic IS the serial
-    // graph's — see autograd/ops.cc lane ops).
-    // Central differencing never produces more than 2·cg_block probes per
-    // call, so a wider pool would only ever run pad lanes: clamp the fused
-    // width to the probe budget (replay_lanes = 8 at cg_block = 1 → width 2).
-    const int width =
-        std::min(ResolvedReplayLanes(), std::max(1, 2 * ResolvedCgBlock()));
-    const int chunks =
-        std::max(1, (2 * ResolvedCgBlock() + width - 1) / width);
-    // A wide clone's tapes are `width`× a narrow clone's, so chunk workers
-    // beyond the backend's thread budget buy no concurrency and multiply the
-    // working set past cache — clamp to the threads that actually exist.
-    // Results are lane-count invariant bit for bit, so this only moves time.
-    const int lanes = std::max(
-        1, std::min(ResolvedLanes(chunks), la::ActiveBackend().num_threads()));
-    // Captures are by value / stable pointer (never `this`): a cache-owned
-    // pool outlives this calculator.
-    nn::GnnModel* model = model_;
-    const GradLanePool::WideLaneFactory factory =
-        [model, input = TrainBlock(), rows = train_rows_,
-         node_labels = train_labels_](int w) {
-          GradLane lane;
-          std::unique_ptr<nn::GnnModel> clone = model->Clone();
-          nn::GnnModel* m = clone.get();
-          nn::WidenModelParams(m, w);
-          lane.width = w;
-          lane.params = m->Params();
-          lane.graph = std::make_unique<ReusableLossGraph>(
-              [m, input, rows, node_labels, w](ag::Tape& tape) {
-                ag::Var logp =
-                    ag::LogSoftmaxRowsLanes(BlockLogits(m, tape, *input, w), w);
-                const std::vector<double> ones(rows.size(), 1.0);
-                return ag::WeightedNllLanes(logp, rows, node_labels, ones,
-                                            static_cast<double>(rows.size()), w);
-              },
-              lane.params);
-          lane.owner = std::shared_ptr<void>(std::move(clone));
-          return lane;
-        };
-    if (config_.replay_cache != nullptr) {
-      const std::string key =
-          "lanes:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) +
-          ":" + train_digest_ + ":" + std::to_string(lanes) + "x" +
-          std::to_string(width);
-      grad_lane_pool_ = config_.replay_cache->GetOrCreateGradLanes(key, [&] {
-        return std::make_unique<GradLanePool>(factory, lanes, width);
-      });
-    } else {
-      owned_grad_lane_pool_ =
-          std::make_unique<GradLanePool>(factory, lanes, width);
-      grad_lane_pool_ = owned_grad_lane_pool_.get();
-    }
-  }
+  // Central differencing issues 2 probe points per direction, so a block of
+  // cg_block directions never needs more than 2·cg_block per call.
+  if (block_pool_ == nullptr) block_pool_ = ProbePool(2 * ResolvedCgBlock());
+  return [pool = block_pool_](const std::vector<std::vector<double>>& points) {
+    return pool->GradsAt(points);
+  };
+}
+
+BatchGradFn InfluenceCalculator::SolverGrad() {
   return [this](const std::vector<std::vector<double>>& points) {
-    return grad_lane_pool_->GradsAt(points);
+    if (points.size() > 2) return BatchTrainGrad()(points);
+    if (pair_pool_ == nullptr) pair_pool_ = ProbePool(2);
+    return pair_pool_->GradsAt(points);
   };
 }
 
 MultiVector InfluenceCalculator::SolveRhsBlock(const MultiVector& b) {
   const int block = ResolvedCgBlock();
-  const GradFn train_grad = [this] { return TrainingLossGrad(); };
-  const BatchGradFn batch_grad = BatchTrainGrad();
+  const std::vector<double> theta = FlattenValues(params_);
+  const BatchGradFn batch_grad = SolverGrad();
   MultiVector solution(b.dim(), b.k());
   for (int begin = 0; begin < b.k(); begin += block) {
     const int end = std::min(begin + block, b.k());
     std::vector<int> cols(static_cast<size_t>(end - begin));
     for (int j = begin; j < end; ++j) cols[static_cast<size_t>(j - begin)] = j;
     const BlockCgResult chunk = BlockConjugateGradientSolve(
-        params_, train_grad, batch_grad, b.SelectColumns(cols), config_.cg);
+        theta, batch_grad, b.SelectColumns(cols), config_.cg);
     for (int j = begin; j < end; ++j) {
       solution.SetColumn(j, chunk.x.Column(j - begin));
       if (chunk.converged[static_cast<size_t>(j - begin)]) ++block_stats_.converged_rhs;
@@ -361,8 +332,8 @@ std::vector<std::vector<double>> InfluenceCalculator::InfluenceOnNodeLosses(
 std::vector<double> InfluenceCalculator::InfluenceOnFunction(
     const FunctionBuilder& build_f) {
   const std::vector<double> grad_f = FunctionGrad(build_f);
-  const GradFn train_grad = [this] { return TrainingLossGrad(); };
-  const CgResult solve = ConjugateGradientSolve(params_, train_grad, grad_f, config_.cg);
+  const CgResult solve =
+      ConjugateGradientSolve(FlattenValues(params_), SolverGrad(), grad_f, config_.cg);
 
   // I_f(w_v) = -s_fᵀ ∇θL_v with s_f = H⁻¹∇θf. The contraction runs through
   // the same GEMM-T kernel as the batched path (not a VDot per node), so a
@@ -396,20 +367,6 @@ FunctionBuilder InfluenceCalculator::UtilityFunction() const {
     return ag::WeightedNll(logp, nodes, node_labels, ones,
                            static_cast<double>(nodes.size()));
   };
-}
-
-std::vector<double> InfluenceCalculator::InfluenceOnBias(
-    const std::shared_ptr<const la::CsrMatrix>& laplacian) {
-  return InfluenceOnFunction(BiasFunction(laplacian));
-}
-
-std::vector<double> InfluenceCalculator::InfluenceOnRisk(
-    const privacy::PairSample& pairs) {
-  return InfluenceOnFunction(RiskFunction(pairs));
-}
-
-std::vector<double> InfluenceCalculator::InfluenceOnUtility() {
-  return InfluenceOnFunction(UtilityFunction());
 }
 
 }  // namespace ppfr::influence

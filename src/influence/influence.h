@@ -27,16 +27,6 @@ struct InfluenceConfig {
   // --la_threads size both the kernel pool and the tape pool.
   int tape_pool_lanes = 0;
 
-  // Runs per-node gradients through the pre-overhaul serial algorithm (one
-  // growing tape, a full ZeroAllGrads sweep per node). Kept as the parity
-  // oracle and the "before" side of bench_influence_engine; results are
-  // bitwise identical to the pooled path.
-  bool serial_reference_per_node = false;
-
-  // Records the training-loss gradient graph once and replays it for every
-  // CG/HVP gradient evaluation instead of rebuilding a tape each time.
-  bool reuse_grad_tape = true;
-
   // Columns per block in the multi-RHS inverse-HVP solve (InfluenceOnFunctions
   // / InfluenceOnNodeLosses). 0 — the default — resolves at runtime from the
   // PPFR_CG_BLOCK environment variable, else 8; 1 disables blocking, so every
@@ -45,11 +35,11 @@ struct InfluenceConfig {
   // same bits regardless of thread or lane counts.
   int cg_block = 0;
 
-  // Fused replay width for batched probe-gradient evaluation (BatchTrainGrad):
-  // each tape replay evaluates this many parameter points at once through a
-  // lane-widened loss graph, turning the probe sweep's GEMMs into wide BLAS-3
-  // passes. 0 — the default — resolves from PPFR_REPLAY_LANES, else 8; 1
-  // disables fusion (the pre-fusion one-replay-per-point path). Results are
+  // Fused replay width for probe-gradient evaluation (every inverse-HVP
+  // solve): each tape replay evaluates up to this many parameter points at
+  // once through a lane-widened loss graph, turning the probe sweep's GEMMs
+  // into wide BLAS-3 passes. 0 — the default — resolves from
+  // PPFR_REPLAY_LANES, else 8; 1 evaluates one point per replay. Results are
   // bitwise identical at every width: each fused lane's arithmetic IS the
   // width-1 graph's (see autograd/ops.cc lane ops).
   int replay_lanes = 0;
@@ -64,16 +54,18 @@ struct InfluenceConfig {
 
 // The block width a configured cg_block value resolves to at runtime
 // (configured if > 0, else the PPFR_CG_BLOCK environment variable, else 8).
+// A set PPFR_CG_BLOCK that is not a positive integer aborts.
 // Cache keys over FR results mix THIS value, not the raw config field, so
 // runs under different environments never share an entry.
 int ResolveCgBlock(int configured);
 
 // The fused replay width a configured replay_lanes value resolves to at
 // runtime (configured if > 0, else the PPFR_REPLAY_LANES environment
-// variable, else 8). Like ResolveCgBlock, FR cache keys mix THIS value: the
-// fused path is bitwise-identical to serial by design, but keying the
-// resolved width keeps any regression attributable instead of silently
-// shared across environments.
+// variable, else 8; a set value that is not a positive integer aborts). Like
+// ResolveCgBlock, FR cache keys mix THIS value: the fused path is
+// bitwise-identical to serial by design, but keying the resolved width keeps
+// any regression attributable instead of silently shared across
+// environments.
 int ResolveReplayLanes(int configured);
 
 // Aggregate instrumentation over the block solves an InfluenceCalculator has
@@ -104,7 +96,9 @@ struct BlockInput;
 // use in this library (QCLP coefficients, Pearson correlation study).
 //
 // One forward pass is reused for all per-node loss gradients via repeated
-// seeded backward passes; H⁻¹∇f is a single damped-CG solve per f.
+// seeded backward passes; H⁻¹∇f is a damped-CG solve per f whose Hessian-
+// vector products all evaluate training-loss gradients on pooled model
+// clones. No public method writes the model's parameter values or grads.
 //
 // Every node-local gradient runs over an exact 2-hop block instead of the
 // full graph: the training loss, its probe-point replays and the per-node
@@ -140,19 +134,14 @@ class InfluenceCalculator {
   std::vector<std::vector<double>> InfluenceOnNodeLosses(
       const std::vector<int>& target_nodes);
 
-  // f = InFoRM bias Tr(softmax(logits)ᵀ L_S softmax(logits)).
-  std::vector<double> InfluenceOnBias(
-      const std::shared_ptr<const la::CsrMatrix>& laplacian);
-
-  // f = the paper's normalised risk surrogate 2‖d̄0−d̄1‖/(var d0 + var d1).
-  std::vector<double> InfluenceOnRisk(const privacy::PairSample& pairs);
-
-  // f = the (unweighted) training loss itself — utility influence (Eq. 11).
-  std::vector<double> InfluenceOnUtility();
-
-  // Self-contained builders for the standard evaluation functions, so
-  // callers can batch several of them through one InfluenceOnFunctions call
-  // (each builder owns copies of what it captures).
+  // Self-contained builders for the standard evaluation functions, fed to
+  // InfluenceOnFunction / InfluenceOnFunctions (each builder owns copies of
+  // what it captures):
+  //   BiasFunction    — InFoRM bias Tr(softmax(logits)ᵀ L_S softmax(logits));
+  //   RiskFunction    — the paper's normalised risk surrogate
+  //                     2‖d̄0−d̄1‖/(var d0 + var d1);
+  //   UtilityFunction — the (unweighted) training loss itself, utility
+  //                     influence (Eq. 11).
   static FunctionBuilder BiasFunction(
       const std::shared_ptr<const la::CsrMatrix>& laplacian);
   static FunctionBuilder RiskFunction(const privacy::PairSample& pairs);
@@ -172,23 +161,26 @@ class InfluenceCalculator {
   const BlockSolveStats& block_stats() const { return block_stats_; }
   void ResetBlockStats() { block_stats_.Reset(); }
 
-  // The BatchGradFn the block solver consumes: training-loss gradients at
-  // explicit parameter points, evaluated on pooled model clones (the real
-  // model's parameters are never touched). Public so the engine bench and
-  // the lane-invariance tests can drive it directly.
+  // Training-loss gradients at explicit parameter points on the block pool:
+  // model clones fused to the width a full block of 2·cg_block probe points
+  // needs (the real model's parameters are never touched). Public so the
+  // engine bench and the lane-invariance tests can drive it directly.
   BatchGradFn BatchTrainGrad();
 
-  // Flat ∇θ L_v for every v, computed from shared forward passes — fanned
-  // across a TapePool, or serially on one tape in reference mode (see
-  // InfluenceConfig). Cached after the first call. Public so the engine
-  // bench and the bitwise-parity tests can drive the two modes directly.
+  // Flat ∇θ L_v for every v, computed from one shared forward pass fanned
+  // across a TapePool. Cached after the first call.
   const std::vector<std::vector<double>>& PerNodeLossGrads();
 
+  // The pre-overhaul serial algorithm behind PerNodeLossGrads (one growing
+  // tape, a full ZeroAllGrads sweep and a Parameter::grad round-trip per
+  // node; overwrites the model's Parameter::grad). Kept as the parity oracle
+  // the pooled path must match bit for bit and as the "before" side of
+  // bench_influence_engine; never cached, never used by a solve.
+  std::vector<std::vector<double>> PerNodeLossGradsSerialReference();
+
  private:
-  // Flat ∇θ of the mean training loss at the current parameters (replayed
-  // from a recorded tape unless config_.reuse_grad_tape is off).
-  std::vector<double> TrainingLossGrad();
-  // Flat ∇θ f for an arbitrary builder.
+  // Flat ∇θ f for an arbitrary builder (read from the tape, so the model's
+  // Parameter::grad is left alone).
   std::vector<double> FunctionGrad(const FunctionBuilder& build_f);
   // The train set's exact block with its gathered features (built on first
   // use; shared with cache-owned pools that may outlive this calculator).
@@ -196,10 +188,21 @@ class InfluenceCalculator {
   // Flat ∇θ L_t for target t, over t's own exact block — so a target's
   // right-hand side is a pure function of t, whatever else is solved with it.
   std::vector<double> NodeLossGradOverOwnBlock(int t);
-  std::vector<std::vector<double>> PerNodeLossGradsPooled();
-  std::vector<std::vector<double>> PerNodeLossGradsSerialReference();
   // Lanes for pooled per-seed backward / batched probe gradients.
   int ResolvedLanes(int num_items) const;
+  // The replay pools' owner: config_.replay_cache when installed, else a
+  // calculator-local cache.
+  ReplayCache& Pools();
+  // The probe-gradient pool sized for calls of up to `max_points` points:
+  // fused width min(replay_lanes, max_points), keyed in Pools() by model,
+  // train set and geometry.
+  GradLanePool* ProbePool(int max_points);
+  // The solvers' gradient source. Calls of at most 2 points (single-RHS CG,
+  // the block solver's collapse finisher, a block deflated to one direction)
+  // run on a width-min(replay_lanes, 2) pool built on first use, so they
+  // never replay the block pool's pad lanes; larger calls run on the block
+  // pool.
+  BatchGradFn SolverGrad();
   // The shared-forward TapePool behind the per-node and per-target gradient
   // sweeps — one pool per calculator (previously one per use-site), acquired
   // from config_.replay_cache when a cell-scoped cache is installed.
@@ -225,14 +228,12 @@ class InfluenceCalculator {
   std::string train_digest_;
   InfluenceConfig config_;
   std::vector<ag::Parameter*> params_;
-  std::vector<std::vector<double>> per_node_grads_;       // lazily filled cache
-  std::unique_ptr<ReusableLossGraph> train_grad_graph_;  // lazily recorded
-  // Replay pools: raw pointers name the live pool (cache-owned when a
-  // ReplayCache is installed, else the owned_ member).
-  GradLanePool* grad_lane_pool_ = nullptr;               // lazily built
-  std::unique_ptr<GradLanePool> owned_grad_lane_pool_;
-  TapePool* forward_pool_ = nullptr;                     // lazily built
-  std::unique_ptr<TapePool> owned_forward_pool_;
+  std::vector<std::vector<double>> per_node_grads_;  // lazily filled cache
+  // Replay pools, owned by Pools() and looked up on first use.
+  ReplayCache owned_pools_;
+  GradLanePool* block_pool_ = nullptr;
+  GradLanePool* pair_pool_ = nullptr;
+  TapePool* forward_pool_ = nullptr;
   BlockSolveStats block_stats_;
 };
 

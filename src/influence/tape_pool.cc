@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "influence/param_vector.h"
 
 namespace ppfr::influence {
 
@@ -76,14 +75,6 @@ std::vector<std::vector<double>> TapePool::PerSeedGrads(int num_seeds,
   return grads;
 }
 
-GradLanePool::GradLanePool(const LaneFactory& factory, int num_lanes) {
-  PPFR_CHECK_GE(num_lanes, 1);
-  lanes_.reserve(static_cast<size_t>(num_lanes));
-  for (int l = 0; l < num_lanes; ++l) lanes_.push_back(factory());
-  for (const GradLane& lane : lanes_) PPFR_CHECK_EQ(lane.width, 1);
-  if (num_lanes > 1) pool_ = std::make_unique<ThreadPool>(num_lanes);
-}
-
 GradLanePool::GradLanePool(const WideLaneFactory& factory, int num_lanes, int width)
     : width_(width) {
   PPFR_CHECK_GE(num_lanes, 1);
@@ -96,30 +87,14 @@ GradLanePool::GradLanePool(const WideLaneFactory& factory, int num_lanes, int wi
   if (num_lanes > 1) pool_ = std::make_unique<ThreadPool>(num_lanes);
 }
 
-void GradLanePool::RunLane(int lane, int begin, int end,
-                           const std::vector<std::vector<double>>& points,
-                           std::vector<std::vector<double>>* grads) {
-  // Same worker-private discipline as TapePool::RunLane: each lane replays
-  // its own graph under a single-threaded backend of the active kind.
-  const std::unique_ptr<la::Backend> backend =
-      la::MakeBackend(la::ActiveBackendKind(), /*num_threads=*/1);
-  la::ThreadLocalBackendGuard backend_guard(backend.get());
-  GradLane& state = lanes_[static_cast<size_t>(lane)];
-  for (int i = begin; i < end; ++i) {
-    SetValues(state.params, points[static_cast<size_t>(i)]);
-    (*grads)[static_cast<size_t>(i)] = state.graph->Grad();
-  }
-}
-
-void GradLanePool::RunLaneFused(int lane, int chunk_begin, int chunk_end,
-                                int kernel_threads,
-                                const std::vector<std::vector<double>>& points,
-                                std::vector<std::vector<double>>* grads) {
-  // Unlike the narrow path, a fused sweep often has FEWER chunk workers than
-  // cores (e.g. 16 probes at width 8 = 2 chunks), so the threads the workers
-  // don't occupy are handed to each worker's private backend. Kernels are
-  // bitwise invariant to their thread count, so this moves wall-clock only,
-  // never bits.
+void GradLanePool::RunChunks(int lane, int chunk_begin, int chunk_end,
+                             int kernel_threads,
+                             const std::vector<std::vector<double>>& points,
+                             std::vector<std::vector<double>>* grads) {
+  // A sweep often has FEWER chunk workers than cores (e.g. 16 probes at
+  // width 8 = 2 chunks), so the threads the workers don't occupy are handed
+  // to each worker's private backend. Kernels are bitwise invariant to their
+  // thread count, so this moves wall-clock only, never bits.
   const std::unique_ptr<la::Backend> backend =
       la::MakeBackend(la::ActiveBackendKind(), std::max(1, kernel_threads));
   la::ThreadLocalBackendGuard backend_guard(backend.get());
@@ -180,38 +155,22 @@ std::vector<std::vector<double>> GradLanePool::GradsAt(
   const int n = static_cast<int>(points.size());
   std::vector<std::vector<double>> grads(points.size());
   if (n == 0) return grads;
-  if (width_ > 1) {
-    // Two-level parallelism: `width_` fused lanes per replay × thread lanes
-    // over chunks. The chunk grid depends only on width_, and each chunk is
-    // self-contained, so any thread-lane count produces the same bits.
-    const int chunks = (n + width_ - 1) / width_;
-    const int lanes = std::min<int>(num_lanes(), chunks);
-    const int kernel_threads =
-        std::max(1, la::ActiveBackend().num_threads() / std::max(1, lanes));
-    if (lanes == 1 || pool_ == nullptr) {
-      RunLaneFused(0, 0, chunks, kernel_threads, points, &grads);
-      return grads;
-    }
-    pool_->ParallelFor(0, lanes, 1, [&](int64_t l0, int64_t l1) {
-      for (int64_t l = l0; l < l1; ++l) {
-        const int begin = static_cast<int>(l * chunks / lanes);
-        const int end = static_cast<int>((l + 1) * chunks / lanes);
-        RunLaneFused(static_cast<int>(l), begin, end, kernel_threads, points,
-                     &grads);
-      }
-    });
-    return grads;
-  }
-  const int lanes = std::min<int>(num_lanes(), n);
+  // Two-level parallelism: `width_` fused lanes per replay × thread lanes
+  // over chunks. The chunk grid depends only on width_, and each chunk is
+  // self-contained, so any thread-lane count produces the same bits.
+  const int chunks = (n + width_ - 1) / width_;
+  const int lanes = std::min<int>(num_lanes(), chunks);
+  const int kernel_threads =
+      std::max(1, la::ActiveBackend().num_threads() / std::max(1, lanes));
   if (lanes == 1 || pool_ == nullptr) {
-    RunLane(0, 0, n, points, &grads);
+    RunChunks(0, 0, chunks, kernel_threads, points, &grads);
     return grads;
   }
   pool_->ParallelFor(0, lanes, 1, [&](int64_t l0, int64_t l1) {
     for (int64_t l = l0; l < l1; ++l) {
-      const int begin = static_cast<int>(l * n / lanes);
-      const int end = static_cast<int>((l + 1) * n / lanes);
-      RunLane(static_cast<int>(l), begin, end, points, &grads);
+      const int begin = static_cast<int>(l * chunks / lanes);
+      const int end = static_cast<int>((l + 1) * chunks / lanes);
+      RunChunks(static_cast<int>(l), begin, end, kernel_threads, points, &grads);
     }
   });
   return grads;

@@ -69,10 +69,10 @@ class TapePool {
 };
 
 // A loss graph recorded once and replayed for every subsequent gradient
-// evaluation — the tape arena behind TrainingLossGrad / HessianVectorProduct
-// / the CG solve, which previously rebuilt a fresh tape (~2 per CG iteration)
-// for every evaluation. Gradients are read from the tape-local leaf buffers,
-// so Parameter::grad is never clobbered by an influence solve.
+// evaluation — the tape arena behind every GradLanePool lane (and each
+// target's node-loss gradient), instead of a fresh tape per evaluation.
+// Gradients are read from the tape-local leaf buffers, so Parameter::grad is
+// never clobbered by an influence solve.
 class ReusableLossGraph {
  public:
   // `builder` must produce the same expression structure on every call (the
@@ -100,34 +100,29 @@ struct GradLane {
   std::unique_ptr<ReusableLossGraph> graph;
   std::shared_ptr<void> owner;
   // Fused lane width: how many parameter points this lane's graph evaluates
-  // per replay. Width w > 1 means every parameter is WIDENED to w column
-  // blocks (see nn::WidenModelParams) and the recorded graph is the lane-wide
-  // loss graph, whose per-lane arithmetic is bitwise the width-1 graph.
+  // per replay. Every parameter is WIDENED to `width` column blocks (see
+  // nn::WidenModelParams) and the recorded graph is the lane-wide loss graph,
+  // whose per-lane arithmetic is bitwise the width-1 graph.
   int width = 1;
 };
 
-// Evaluates the loss gradient at many ABSOLUTE parameter points, fanned
-// across lanes — the BatchGradFn engine behind the block-CG solver's batched
-// finite-difference HVPs. Each point's gradient comes from replaying one
-// lane's recorded graph at that point, under a private single-threaded
+// Evaluates the loss gradient at many ABSOLUTE parameter points — the
+// BatchGradFn engine behind every inverse-HVP solve. Points are processed in
+// chunks of `width` per replay of one lane's recorded graph, under a private
 // backend of the active kind (the shared ParallelBackend pool is never
-// entered concurrently). Which lane evaluates a point never affects its
-// bits, so results are bitwise identical for any lane count.
+// entered concurrently). The chunk grid is FIXED by width alone — chunk c
+// always covers points [c·width, (c+1)·width) — and thread lanes take
+// contiguous chunk ranges, so results are bitwise invariant to the lane
+// count. A short final chunk is padded by replicating its last point; lanes
+// are arithmetically independent, so pad lanes never touch a real result.
+// Width 1 runs the same grid, where scatter and de-interleave are plain
+// copies.
 class GradLanePool {
  public:
-  using LaneFactory = std::function<GradLane()>;
-  // Factory for fused lanes: builds a lane whose graph evaluates `width`
-  // points per replay (parameters widened to `width` column blocks).
+  // Builds a lane whose graph evaluates `width` points per replay
+  // (parameters widened to `width` column blocks).
   using WideLaneFactory = std::function<GradLane(int width)>;
 
-  GradLanePool(const LaneFactory& factory, int num_lanes);
-
-  // Fused construction: points are processed in chunks of `width` per
-  // replay. The chunk grid is FIXED by width alone — chunk c always covers
-  // points [c·width, (c+1)·width) — and thread lanes take contiguous chunk
-  // ranges, so results are bitwise invariant to the lane count. A short
-  // final chunk is padded by replicating its last point; lanes are
-  // arithmetically independent, so pad lanes never touch a real result.
   GradLanePool(const WideLaneFactory& factory, int num_lanes, int width);
 
   // Flat loss gradient at each point, in point order.
@@ -138,15 +133,12 @@ class GradLanePool {
   int width() const { return width_; }
 
  private:
-  void RunLane(int lane, int begin, int end,
-               const std::vector<std::vector<double>>& points,
-               std::vector<std::vector<double>>* grads);
-  // Fused path: [chunk_begin, chunk_end) on the fixed width_-point grid.
+  // Chunks [chunk_begin, chunk_end) on the fixed width_-point grid.
   // `kernel_threads` sizes the worker's private backend (threads left over by
   // having fewer chunk workers than cores).
-  void RunLaneFused(int lane, int chunk_begin, int chunk_end, int kernel_threads,
-                    const std::vector<std::vector<double>>& points,
-                    std::vector<std::vector<double>>* grads);
+  void RunChunks(int lane, int chunk_begin, int chunk_end, int kernel_threads,
+                 const std::vector<std::vector<double>>& points,
+                 std::vector<std::vector<double>>* grads);
 
   std::vector<GradLane> lanes_;
   int width_ = 1;

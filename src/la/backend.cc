@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -1133,7 +1134,6 @@ void InitFromEnvIfNeeded() {
   std::call_once(g_env_init_once, [] {
     if (BackendSlot() != nullptr) return;  // SetActiveBackend already ran
     BackendKind kind = BackendKind::kParallel;
-    int threads = 0;
     if (const char* env = std::getenv("PPFR_LA_BACKEND")) {
       const std::string value(env);
       if (value == "reference") {
@@ -1146,7 +1146,9 @@ void InitFromEnvIfNeeded() {
             << value << "'";
       }
     }
-    if (const char* env = std::getenv("PPFR_LA_THREADS")) threads = std::atoi(env);
+    // 0 (the default) selects one thread per core.
+    const int threads = static_cast<int>(EnvInt64OrDie("PPFR_LA_THREADS", 0, 0,
+                                             std::numeric_limits<int>::max()));
     SetActiveBackend(kind, threads);
   });
 }

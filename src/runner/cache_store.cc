@@ -11,10 +11,12 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/serialize.h"
 #include "la/backend.h"
 
@@ -171,16 +173,9 @@ void CacheStore::Store(const char* stage, uint64_t key,
 // ---- Claims ----------------------------------------------------------------
 
 int64_t CacheStore::claim_stale_ms() {
-  static const int64_t ms = [] {
-    const char* env = std::getenv("PPFR_CACHE_CLAIM_STALE_MS");
-    if (env == nullptr || *env == '\0') return kDefaultClaimStaleMs;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    PPFR_CHECK(end != nullptr && *end == '\0' && v > 0)
-        << "PPFR_CACHE_CLAIM_STALE_MS wants a positive integer (ms), got '"
-        << env << "'";
-    return static_cast<int64_t>(v);
-  }();
+  static const int64_t ms =
+      EnvInt64OrDie("PPFR_CACHE_CLAIM_STALE_MS", kDefaultClaimStaleMs, 1,
+                    std::numeric_limits<int64_t>::max());
   return ms;
 }
 

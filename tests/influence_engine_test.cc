@@ -1,22 +1,29 @@
 // Tests for the influence-engine hot path: TapePool (parallel per-seed
 // backward over one shared forward tape), the ReusableLossGraph tape arena,
-// and the trainer's cross-epoch tape replay. The central contract is
-// BITWISE determinism: the pooled/replayed paths must reproduce the serial
-// reference implementations bit for bit, for any lane count and under either
-// compute backend.
+// the trainer's cross-epoch tape replay, the block-CG solver (including its
+// collapse finisher) and the lane-fused probe-gradient engine every
+// inverse-HVP solve runs on. The central contract is BITWISE determinism:
+// the pooled/replayed paths must reproduce the serial reference
+// implementations bit for bit, for any lane count and under every compute
+// backend.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/tape.h"
+#include "common/recoverable.h"
 #include "data/split.h"
+#include "fairness/bias_metric.h"
 #include "influence/influence.h"
 #include "influence/param_vector.h"
 #include "influence/tape_pool.h"
@@ -49,6 +56,12 @@ struct EngineFixture {
     InfluenceCalculator calc(model.get(), ctx, split.train, data.labels, config);
     return calc.PerNodeLossGrads();
   }
+
+  std::vector<std::vector<double>> SerialReferencePerNodeGrads() {
+    InfluenceCalculator calc(model.get(), ctx, split.train, data.labels,
+                             InfluenceConfig{});
+    return calc.PerNodeLossGradsSerialReference();
+  }
 };
 
 void ExpectBitwiseEqual(const std::vector<std::vector<double>>& want,
@@ -69,9 +82,7 @@ TEST_P(TapePoolBitwise, PooledEqualsSerialReferenceAcrossLaneCounts) {
   la::ScopedBackend scoped(GetParam(), 4);
   EngineFixture fx(nn::ModelKind::kGcn);
 
-  InfluenceConfig serial_cfg;
-  serial_cfg.serial_reference_per_node = true;
-  const auto want = fx.PerNodeGrads(serial_cfg);
+  const auto want = fx.SerialReferencePerNodeGrads();
   ASSERT_EQ(want.size(), fx.split.train.size());
 
   for (int lanes : {1, 2, 4}) {
@@ -91,9 +102,7 @@ TEST_P(TapePoolBitwise, PooledEqualsSerialReferenceOnGat) {
   la::ScopedBackend scoped(GetParam(), 3);
   EngineFixture fx(nn::ModelKind::kGat);
 
-  InfluenceConfig serial_cfg;
-  serial_cfg.serial_reference_per_node = true;
-  const auto want = fx.PerNodeGrads(serial_cfg);
+  const auto want = fx.SerialReferencePerNodeGrads();
 
   InfluenceConfig pooled_cfg;
   pooled_cfg.tape_pool_lanes = 3;
@@ -265,24 +274,6 @@ TEST(ReusableLossGraphTest, ReplayedGradMatchesFreshTapeBitwise) {
   (void)want;
 }
 
-TEST(InfluenceEngineTest, ReusedGradTapeLeavesInfluenceScoresIdentical) {
-  EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/33);
-  InfluenceConfig reuse_cfg;  // reuse_grad_tape = true (default)
-  InfluenceConfig fresh_cfg;
-  fresh_cfg.reuse_grad_tape = false;
-
-  InfluenceCalculator reuse_calc(fx.model.get(), fx.ctx, fx.split.train,
-                                 fx.data.labels, reuse_cfg);
-  InfluenceCalculator fresh_calc(fx.model.get(), fx.ctx, fx.split.train,
-                                 fx.data.labels, fresh_cfg);
-  const std::vector<double> a = reuse_calc.InfluenceOnUtility();
-  const std::vector<double> b = fresh_calc.InfluenceOnUtility();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "influence score " << i;
-  }
-}
-
 class TrainerReplay : public ::testing::TestWithParam<nn::ModelKind> {};
 
 TEST_P(TrainerReplay, ReplayedEpochsMatchFreshTapesBitwise) {
@@ -353,10 +344,6 @@ struct BlockQuadratic {
     return g;
   }
 
-  GradFn MakeGradFn() {
-    return [this] { return GradAt(FlattenValues({&theta})); };
-  }
-
   BatchGradFn MakeBatchGradFn() {
     return [this](const std::vector<std::vector<double>>& points) {
       std::vector<std::vector<double>> grads;
@@ -366,7 +353,7 @@ struct BlockQuadratic {
     };
   }
 
-  std::vector<ag::Parameter*> Params() { return {&theta}; }
+  std::vector<double> Theta() { return FlattenValues({&theta}); }
 };
 
 MultiVector RandomRhs(int64_t dim, int k, uint64_t seed) {
@@ -388,11 +375,10 @@ TEST_P(BlockCgBackend, SingleColumnBlockEqualsOracleBitwise) {
   options.max_iterations = 60;
   options.tolerance = 1e-10;
 
-  const CgResult oracle = ConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                                 b.Column(0), options);
-  const BlockCgResult block =
-      BlockConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                  problem.MakeBatchGradFn(), b, options);
+  const CgResult oracle = ConjugateGradientSolve(
+      problem.Theta(), problem.MakeBatchGradFn(), b.Column(0), options);
+  const BlockCgResult block = BlockConjugateGradientSolve(
+      problem.Theta(), problem.MakeBatchGradFn(), b, options);
 
   ASSERT_EQ(block.x.k(), 1);
   for (int64_t i = 0; i < 10; ++i) {
@@ -413,13 +399,12 @@ TEST_P(BlockCgBackend, BlockMatchesOraclePerColumnWithinTolerance) {
   for (int k : {2, 3, 8}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     const MultiVector b = RandomRhs(n, k, 100 + static_cast<uint64_t>(k));
-    const BlockCgResult block =
-        BlockConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                    problem.MakeBatchGradFn(), b, options);
+    const BlockCgResult block = BlockConjugateGradientSolve(
+        problem.Theta(), problem.MakeBatchGradFn(), b, options);
     for (int j = 0; j < k; ++j) {
       EXPECT_TRUE(block.converged[static_cast<size_t>(j)]) << "column " << j;
       const CgResult oracle = ConjugateGradientSolve(
-          problem.Params(), problem.MakeGradFn(), b.Column(j), options);
+          problem.Theta(), problem.MakeBatchGradFn(), b.Column(j), options);
       double num = 0.0;
       double den = 0.0;
       for (int64_t i = 0; i < n; ++i) {
@@ -445,9 +430,8 @@ TEST_P(BlockCgBackend, FixedBlockIsBitwiseInvariantAcrossThreadCounts) {
     la::ScopedBackend scoped(GetParam(), threads);
     BlockQuadratic problem(n, 41);  // rebuilt identically per run
     const MultiVector b = RandomRhs(n, k, 42);
-    const BlockCgResult block =
-        BlockConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                    problem.MakeBatchGradFn(), b, options);
+    const BlockCgResult block = BlockConjugateGradientSolve(
+        problem.Theta(), problem.MakeBatchGradFn(), b, options);
     std::vector<double> flat;
     for (int j = 0; j < k; ++j) {
       const std::vector<double> col = block.x.Column(j);
@@ -482,9 +466,8 @@ TEST(BlockCgTest, DeflationRetiresEasyColumnsEarly) {
   CgOptions options;
   options.max_iterations = 60;
   options.tolerance = 1e-10;
-  const BlockCgResult block =
-      BlockConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                  problem.MakeBatchGradFn(), b, options);
+  const BlockCgResult block = BlockConjugateGradientSolve(
+      problem.Theta(), problem.MakeBatchGradFn(), b, options);
 
   EXPECT_TRUE(block.converged[0]);
   EXPECT_TRUE(block.converged[1]);
@@ -512,9 +495,8 @@ TEST(BlockCgTest, ZeroAndDuplicateColumnsAreExact) {
   CgOptions options;
   options.max_iterations = 60;
   options.tolerance = 1e-10;
-  const BlockCgResult block =
-      BlockConjugateGradientSolve(problem.Params(), problem.MakeGradFn(),
-                                  problem.MakeBatchGradFn(), b, options);
+  const BlockCgResult block = BlockConjugateGradientSolve(
+      problem.Theta(), problem.MakeBatchGradFn(), b, options);
 
   EXPECT_TRUE(block.converged[0]);
   EXPECT_EQ(block.iterations[0], 0);
@@ -526,6 +508,83 @@ TEST(BlockCgTest, ZeroAndDuplicateColumnsAreExact) {
   }
   EXPECT_EQ(block.iterations[1], block.iterations[3]);
   EXPECT_EQ(block.residual_norm[1], block.residual_norm[3]);
+}
+
+// Total collapse: on an indefinite quadratic whose right-hand sides all sit
+// in the negative-curvature subspace, every direction of the first block
+// fails its PᵀAP pivot, so every column is frozen before any block update
+// and finished through the single-RHS oracle.
+struct CollapseCase {
+  BlockQuadratic problem{8, 61};
+  MultiVector b{8, 3};
+  CgOptions options;
+  int points_evaluated = 0;
+
+  CollapseCase() {
+    problem.a = la::Matrix(8, 8);
+    for (int i = 0; i < 8; ++i) {
+      problem.a(i, i) = (i % 2 == 0 ? 1.0 : -1.0) * (1.0 + 0.3 * i);
+    }
+    Rng rng(62);
+    for (int j = 0; j < b.k(); ++j) {
+      for (int64_t i = 1; i < b.dim(); i += 2) b.col(j)[i] = rng.Normal();
+    }
+    options.damping = 0.01;
+    options.max_iterations = 20;
+    options.tolerance = 1e-10;
+  }
+
+  // The quadratic's gradients, counting every point evaluated.
+  BatchGradFn CountingGrad() {
+    const BatchGradFn inner = problem.MakeBatchGradFn();
+    return [this, inner](const std::vector<std::vector<double>>& points) {
+      points_evaluated += static_cast<int>(points.size());
+      return inner(points);
+    };
+  }
+};
+
+TEST(BlockCgTest, TotalCollapseFinishesThroughTheSingleRhsOracle) {
+  CollapseCase c;
+  const BlockCgResult block =
+      BlockConjugateGradientSolve(c.problem.Theta(), c.CountingGrad(), c.b, c.options);
+
+  // One block iteration probes all 3 directions; each finisher solve then
+  // spends 2 probe points per iteration, and grad_evals counts both.
+  int finisher_evals = 0;
+  for (int j = 0; j < c.b.k(); ++j) {
+    SCOPED_TRACE("column " + std::to_string(j));
+    const CgResult oracle = ConjugateGradientSolve(
+        c.problem.Theta(), c.problem.MakeBatchGradFn(), c.b.Column(j), c.options);
+    finisher_evals += 2 * oracle.iterations;
+    ASSERT_EQ(block.x.Column(j), oracle.x);
+    EXPECT_EQ(block.residual_norm[static_cast<size_t>(j)], oracle.residual_norm);
+    EXPECT_EQ(block.iterations[static_cast<size_t>(j)], oracle.iterations);
+    EXPECT_FALSE(block.converged[static_cast<size_t>(j)]);
+  }
+  EXPECT_EQ(block.stats.block_iterations, 1);
+  EXPECT_EQ(block.stats.grad_evals, 2 * c.b.k() + finisher_evals);
+  EXPECT_EQ(block.stats.grad_evals, c.points_evaluated);
+}
+
+TEST(BlockCgTest, NonFiniteFinisherResidualIsRecoverableNotTransient) {
+  // The block phase sees the collapsing quadratic; the finisher's one-column
+  // HVPs (2 probe points each) see NaN gradients.
+  CollapseCase c;
+  const BatchGradFn grads = c.problem.MakeBatchGradFn();
+  const BatchGradFn poisoned = [&](const std::vector<std::vector<double>>& points) {
+    std::vector<std::vector<double>> out = grads(points);
+    if (points.size() == 2) {
+      for (auto& g : out) g.assign(g.size(), std::numeric_limits<double>::quiet_NaN());
+    }
+    return out;
+  };
+  try {
+    BlockConjugateGradientSolve(c.problem.Theta(), poisoned, c.b, c.options);
+    FAIL() << "a non-finite finisher residual must throw";
+  } catch (const RecoverableError& e) {
+    EXPECT_FALSE(e.transient()) << e.what();
+  }
 }
 
 TEST(BlockInfluenceTest, CgBlockOneReproducesSingleRhsOracleBitwise) {
@@ -546,7 +605,7 @@ TEST(BlockInfluenceTest, CgBlockOneReproducesSingleRhsOracleBitwise) {
   InfluenceCalculator oracle(fx.model.get(), fx.ctx, fx.split.train, fx.data.labels,
                              cfg);
   const auto batched = calc.InfluenceOnFunctions({calc.UtilityFunction()});
-  const auto single = oracle.InfluenceOnUtility();
+  const auto single = oracle.InfluenceOnFunction(oracle.UtilityFunction());
   ASSERT_EQ(batched.size(), 1u);
   ASSERT_EQ(batched[0].size(), single.size());
   for (size_t v = 0; v < single.size(); ++v) {
@@ -554,6 +613,48 @@ TEST(BlockInfluenceTest, CgBlockOneReproducesSingleRhsOracleBitwise) {
   }
   EXPECT_EQ(calc.block_stats().total_rhs, 1);
   EXPECT_EQ(calc.block_stats().converged_rhs, 1);
+}
+
+TEST(BlockInfluenceTest, SolvesLeaveModelParametersAndGradsUntouched) {
+  // Every Hessian-vector product evaluates probe gradients on pooled model
+  // clones, and the RHS gradients are read from their tapes: neither the
+  // batched nor the single-RHS path writes the model's values or grads.
+  EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/41);
+  Rng rng(42);
+  for (ag::Parameter* p : fx.model->Params()) {
+    for (int64_t i = 0; i < p->grad.size(); ++i) p->grad.data()[i] = rng.Normal();
+  }
+  const std::vector<ag::Parameter*> params = fx.model->Params();
+  const std::vector<double> values = FlattenValues(params);
+  const std::vector<double> grads = FlattenGrads(params);
+
+  InfluenceConfig cfg;
+  cfg.cg.max_iterations = 5;
+  InfluenceCalculator calc(fx.model.get(), fx.ctx, fx.split.train, fx.data.labels, cfg);
+  const auto batched = calc.InfluenceOnFunctions(
+      {calc.UtilityFunction(), InfluenceCalculator::BiasFunction(
+                                   fairness::SimilarityContext::FromGraph(fx.data.graph)
+                                       .laplacian)});
+  ASSERT_EQ(batched.size(), 2u);
+  calc.InfluenceOnFunction(calc.UtilityFunction());
+
+  EXPECT_EQ(FlattenValues(params), values);
+  EXPECT_EQ(FlattenGrads(params), grads);
+}
+
+TEST(BlockInfluenceTest, SingleRhsInfluenceIsBitwiseInvariantToReplayWidth) {
+  // Single-RHS CG evaluates 2 probe points per call on a width-min(replay
+  // lanes, 2) pool; width 1 and width 2 must give the same bits.
+  EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/45);
+  auto run = [&](int replay_lanes) {
+    InfluenceConfig cfg;
+    cfg.cg.max_iterations = 6;
+    cfg.replay_lanes = replay_lanes;
+    InfluenceCalculator calc(fx.model.get(), fx.ctx, fx.split.train, fx.data.labels,
+                             cfg);
+    return calc.InfluenceOnFunction(calc.UtilityFunction());
+  };
+  EXPECT_EQ(run(1), run(8));
 }
 
 TEST(BlockInfluenceTest, BlockedInfluenceMatchesOracleWithinTolerance) {
@@ -625,6 +726,64 @@ INSTANTIATE_TEST_SUITE_P(Backends, BlockCgBackend,
                          [](const ::testing::TestParamInfo<la::BackendKind>& info) {
                            return la::BackendKindName(info.param);
                          });
+
+// setenv/restore guard for the PPFR_* influence environment variables.
+class ScopedEnvVar {
+ public:
+  ScopedEnvVar(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) previous_ = old;
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnvVar() {
+    if (previous_.has_value()) {
+      ::setenv(name_, previous_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> previous_;
+};
+
+TEST(InfluenceEnvTest, ValidValuesResolveAsDocumented) {
+  {
+    ScopedEnvVar block("PPFR_CG_BLOCK", "");  // empty means the default
+    ScopedEnvVar lanes("PPFR_REPLAY_LANES", "");
+    EXPECT_EQ(ResolveCgBlock(0), 8);
+    EXPECT_EQ(ResolveReplayLanes(0), 8);
+  }
+  ScopedEnvVar block("PPFR_CG_BLOCK", "16");
+  ScopedEnvVar lanes("PPFR_REPLAY_LANES", "4");
+  EXPECT_EQ(ResolveCgBlock(0), 16);
+  EXPECT_EQ(ResolveReplayLanes(0), 4);
+  EXPECT_EQ(ResolveCgBlock(3), 3);  // a configured value wins
+  EXPECT_EQ(ResolveReplayLanes(2), 2);
+}
+
+TEST(InfluenceEnvDeathTest, MalformedValuesAbortNamingTheVariable) {
+  {
+    ScopedEnvVar env("PPFR_CG_BLOCK", "16x");
+    EXPECT_DEATH(ResolveCgBlock(0), "PPFR_CG_BLOCK.*'16x'");
+  }
+  {
+    ScopedEnvVar env("PPFR_CG_BLOCK", "abc");
+    EXPECT_DEATH(ResolveCgBlock(0), "PPFR_CG_BLOCK.*'abc'");
+  }
+  {
+    ScopedEnvVar env("PPFR_REPLAY_LANES", "8 lanes");
+    EXPECT_DEATH(ResolveReplayLanes(0), "PPFR_REPLAY_LANES.*'8 lanes'");
+  }
+  {
+    ScopedEnvVar env("PPFR_REPLAY_LANES", "eight");
+    EXPECT_DEATH(ResolveReplayLanes(0), "PPFR_REPLAY_LANES.*'eight'");
+  }
+  {
+    ScopedEnvVar env("PPFR_CG_BLOCK", "0");  // not a block width
+    EXPECT_DEATH(ResolveCgBlock(0), "PPFR_CG_BLOCK.*'0'");
+  }
+}
 
 // ---- Lane-fused tape replay: the batched probe-gradient engine ----
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "data/split.h"
 #include "fairness/bias_metric.h"
@@ -58,17 +59,30 @@ struct QuadraticProblem {
     for (int i = 0; i < n; ++i) theta.value(i, 0) = rng.Normal();
   }
 
-  GradFn MakeGradFn() {
-    return [this]() {
-      // grad = A θ - b
-      std::vector<double> g(a.rows());
-      for (int i = 0; i < a.rows(); ++i) {
-        double s = -b[i];
-        for (int j = 0; j < a.cols(); ++j) s += a(i, j) * theta.value(j, 0);
-        g[i] = s;
+  // ∇L at an absolute point p is A·p - b, independent of θ.
+  BatchGradFn MakeBatchGradFn() const {
+    return [this](const std::vector<std::vector<double>>& points) {
+      std::vector<std::vector<double>> grads;
+      for (const std::vector<double>& p : points) {
+        std::vector<double> g(static_cast<size_t>(a.rows()));
+        for (int i = 0; i < a.rows(); ++i) {
+          double s = -b[static_cast<size_t>(i)];
+          for (int j = 0; j < a.cols(); ++j) s += a(i, j) * p[static_cast<size_t>(j)];
+          g[static_cast<size_t>(i)] = s;
+        }
+        grads.push_back(std::move(g));
       }
-      return g;
+      return grads;
     };
+  }
+
+  std::vector<double> Theta() { return FlattenValues({&theta}); }
+
+  // One-column batched HVP of v around θ.
+  std::vector<double> Hvp(const std::vector<double>& v) {
+    return BatchedHessianVectorProduct(Theta(), MakeBatchGradFn(),
+                                       MultiVector::FromColumns({v}), {VecDot(v, v)})
+        .Column(0);
   }
 };
 
@@ -77,8 +91,7 @@ TEST(HvpTest, MatchesExactHessianOnQuadratic) {
   Rng rng(4);
   std::vector<double> v(6);
   for (auto& x : v) x = rng.Normal();
-  const std::vector<double> hv =
-      HessianVectorProduct({&problem.theta}, problem.MakeGradFn(), v);
+  const std::vector<double> hv = problem.Hvp(v);
   for (int i = 0; i < 6; ++i) {
     double want = 0;
     for (int j = 0; j < 6; ++j) want += problem.a(i, j) * v[j];
@@ -88,20 +101,9 @@ TEST(HvpTest, MatchesExactHessianOnQuadratic) {
 
 TEST(HvpTest, ZeroVectorGivesZero) {
   QuadraticProblem problem(4, 5);
-  const std::vector<double> hv = HessianVectorProduct(
-      {&problem.theta}, problem.MakeGradFn(), std::vector<double>(4, 0.0));
+  const std::vector<double> hv = problem.Hvp(std::vector<double>(4, 0.0));
+  ASSERT_EQ(hv.size(), 4u);
   for (double x : hv) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(HvpTest, RestoresParameters) {
-  QuadraticProblem problem(5, 6);
-  const std::vector<double> before = FlattenValues({&problem.theta});
-  Rng rng(7);
-  std::vector<double> v(5);
-  for (auto& x : v) x = rng.Normal();
-  HessianVectorProduct({&problem.theta}, problem.MakeGradFn(), v);
-  const std::vector<double> after = FlattenValues({&problem.theta});
-  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
 }
 
 TEST(CgTest, SolvesDampedSystemOnQuadratic) {
@@ -114,7 +116,7 @@ TEST(CgTest, SolvesDampedSystemOnQuadratic) {
   options.max_iterations = 100;
   options.tolerance = 1e-10;
   const CgResult result =
-      ConjugateGradientSolve({&problem.theta}, problem.MakeGradFn(), rhs, options);
+      ConjugateGradientSolve(problem.Theta(), problem.MakeBatchGradFn(), rhs, options);
   // Verify (A + λI) x == b directly.
   for (int i = 0; i < 8; ++i) {
     double lhs = options.damping * result.x[i];
@@ -147,7 +149,8 @@ TEST(InfluenceTest, PredictsLeaveOneOutBiasChange) {
 
   InfluenceCalculator calc(model.get(), ctx, split.train, data.labels,
                            InfluenceConfig{});
-  const std::vector<double> influence = calc.InfluenceOnBias(sim.laplacian);
+  const std::vector<double> influence =
+      calc.InfluenceOnFunction(InfluenceCalculator::BiasFunction(sim.laplacian));
   ASSERT_EQ(influence.size(), split.train.size());
 
   std::vector<double> predicted, actual;
@@ -178,7 +181,7 @@ TEST(InfluenceTest, UtilityInfluenceHasPlausibleScale) {
 
   InfluenceCalculator calc(model.get(), ctx, split.train, data.labels,
                            InfluenceConfig{});
-  const std::vector<double> util = calc.InfluenceOnUtility();
+  const std::vector<double> util = calc.InfluenceOnFunction(calc.UtilityFunction());
   ASSERT_EQ(util.size(), split.train.size());
   double max_abs = 0;
   for (double u : util) {
@@ -202,7 +205,8 @@ TEST(InfluenceTest, RiskInfluenceIsFiniteAndNonDegenerate) {
 
   InfluenceCalculator calc(model.get(), ctx, split.train, data.labels,
                            InfluenceConfig{});
-  const std::vector<double> risk = calc.InfluenceOnRisk(pairs);
+  const std::vector<double> risk =
+      calc.InfluenceOnFunction(InfluenceCalculator::RiskFunction(pairs));
   int nonzero = 0;
   for (double x : risk) {
     ASSERT_TRUE(std::isfinite(x));

@@ -97,6 +97,24 @@ class ScopedEnvVar {
   std::optional<std::string> previous_;
 };
 
+TEST(BackendEnvDeathTest, MalformedThreadCountAborts) {
+  // The active backend reads PPFR_LA_THREADS once per process, so each case
+  // runs in a freshly exec'd child ("threadsafe" style) where nothing has
+  // touched the backend yet. Only malformed values are tried: a valid large
+  // count would start that many threads.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  {
+    ScopedEnvVar env("PPFR_LA_THREADS", "4x");
+    EXPECT_DEATH((void)ActiveBackend(), "PPFR_LA_THREADS.*'4x'");
+  }
+  {
+    ScopedEnvVar env("PPFR_LA_THREADS", "four");
+    EXPECT_DEATH((void)ActiveBackend(), "PPFR_LA_THREADS.*'four'");
+  }
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
 TEST(BackendRegistryTest, KindNamesAndScopedSwap) {
   EXPECT_EQ(BackendKindName(BackendKind::kReference), "reference");
   EXPECT_EQ(BackendKindName(BackendKind::kParallel), "parallel");

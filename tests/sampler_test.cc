@@ -436,9 +436,8 @@ std::vector<std::vector<double>> FullGraphInfluence(
     ParityFixture& fx, const std::vector<influence::FunctionBuilder>& builders,
     const influence::InfluenceConfig& cfg) {
   nn::GnnModel* model = fx.model.get();
-  const std::vector<ag::Parameter*> params = model->Params();
+  const std::vector<double> theta = influence::FlattenValues(model->Params());
   std::unique_ptr<nn::GnnModel> probe = model->Clone();
-  const influence::GradFn grad = [&] { return fx.FullGraphGrad(model, fx.TrainLoss()); };
   const influence::BatchGradFn batch_grad =
       [&](const std::vector<std::vector<double>>& points) {
         std::vector<std::vector<double>> grads;
@@ -459,7 +458,7 @@ std::vector<std::vector<double>> FullGraphInfluence(
     std::vector<int> cols;
     for (int j = begin; j < std::min(b.k(), begin + cfg.cg_block); ++j) cols.push_back(j);
     const influence::BlockCgResult chunk = influence::BlockConjugateGradientSolve(
-        params, grad, batch_grad, b.SelectColumns(cols), cfg.cg);
+        theta, batch_grad, b.SelectColumns(cols), cfg.cg);
     for (int j = 0; j < chunk.x.k(); ++j) solutions.push_back(chunk.x.Column(j));
   }
 
