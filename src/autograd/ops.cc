@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "la/backend.h"
 
@@ -752,8 +753,9 @@ Var GatherRows(Var a, const std::vector<int>& indices) {
                 });
 }
 
-Var ConcatCols(const std::vector<Var>& parts) {
+Var ConcatCols(const std::vector<Var>& parts, int lanes) {
   PPFR_CHECK(!parts.empty());
+  PPFR_CHECK_GE(lanes, 1);
   Tape* tape = parts[0].tape;
   int total_cols = 0;
   const int rows = parts[0].rows();
@@ -761,32 +763,40 @@ Var ConcatCols(const std::vector<Var>& parts) {
   for (Var p : parts) {
     PPFR_CHECK(p.tape == tape);
     PPFR_CHECK_EQ(p.rows(), rows);
+    PPFR_CHECK_EQ(p.cols() % lanes, 0);
     total_cols += p.cols();
     needs = needs || tape->NeedsGrad(p);
   }
+  const int lane_cols = total_cols / lanes;
   la::Matrix out = tape->NewValue(rows, total_cols, /*zero_init=*/false);
-  int offset = 0;
+  int offset = 0;  // part's column offset inside one output lane window
   for (Var p : parts) {
     const la::Matrix& pv = p.value();
+    const int width = pv.cols() / lanes;
     for (int r = 0; r < rows; ++r) {
-      std::copy(pv.row(r), pv.row(r) + pv.cols(), out.row(r) + offset);
+      for (int l = 0; l < lanes; ++l) {
+        const double* src = pv.row(r) + l * width;
+        std::copy(src, src + width, out.row(r) + l * lane_cols + offset);
+      }
     }
-    offset += pv.cols();
+    offset += width;
   }
   const int out_id = tape->num_nodes();
   return MakeOp(tape, std::move(out), needs, parts,
-                [parts, out_id](Tape& tp, const la::Matrix& g) {
+                [parts, lanes, lane_cols, out_id](Tape& tp, const la::Matrix& g) {
                   const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
                   int offset = 0;
                   for (Var p : parts) {
-                    const int pc = tp.Value(p).cols();
+                    const int width = tp.Value(p).cols() / lanes;
                     if (tp.NeedsGrad(p)) {
                       la::Matrix& dp = supp != nullptr ? tp.GradRefPartial(p, *supp)
                                                        : tp.GradRef(p);
                       auto add_row = [&](int r) {
-                        const double* gr = g.row(r) + offset;
-                        double* dr = dp.row(r);
-                        for (int c = 0; c < pc; ++c) dr[c] += gr[c];
+                        for (int l = 0; l < lanes; ++l) {
+                          const double* gr = g.row(r) + l * lane_cols + offset;
+                          double* dr = dp.row(r) + l * width;
+                          for (int c = 0; c < width; ++c) dr[c] += gr[c];
+                        }
                       };
                       if (supp != nullptr) {
                         for (int r : *supp) add_row(r);
@@ -794,43 +804,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
                         for (int r = 0; r < g.rows(); ++r) add_row(r);
                       }
                     }
-                    offset += pc;
-                  }
-                });
-}
-
-Var SliceCols(Var a, int col0, int width) {
-  Tape* tape = CommonTape({a});
-  const la::Matrix& av = a.value();
-  PPFR_CHECK_GE(col0, 0);
-  PPFR_CHECK_GT(width, 0);
-  PPFR_CHECK_LE(col0 + width, av.cols());
-  la::Matrix out = tape->NewValue(av.rows(), width, /*zero_init=*/false);
-  {
-    la::ActiveBackend().Apply(av.rows(), RowGrain(width), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const double* src = av.row(static_cast<int>(r)) + col0;
-        std::copy(src, src + width, out.row(static_cast<int>(r)));
-      }
-    });
-  }
-  const bool needs = tape->NeedsGrad(a);
-  const int out_id = tape->num_nodes();
-  return MakeOp(tape, std::move(out), needs, {a},
-                [a, col0, width, out_id](Tape& tp, const la::Matrix& g) {
-                  if (!tp.NeedsGrad(a)) return;
-                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
-                  la::Matrix& da = supp != nullptr ? tp.GradRefPartial(a, *supp)
-                                                   : tp.GradRef(a);
-                  auto add_row = [&](int r) {
-                    const double* gr = g.row(r);
-                    double* dr = da.row(r) + col0;
-                    for (int c = 0; c < width; ++c) dr[c] += gr[c];
-                  };
-                  if (supp != nullptr) {
-                    for (int r : *supp) add_row(r);
-                  } else {
-                    for (int r = 0; r < g.rows(); ++r) add_row(r);
+                    offset += width;
                   }
                 });
 }
@@ -907,72 +881,177 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
                 });
 }
 
-Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
-                         const std::shared_ptr<const EdgeSet>& edges, int heads,
-                         double leaky_slope) {
+namespace {
+
+// GatAttention spells out every rounding instead of leaving multiply-adds to
+// the compiler's FMA contraction, which differs between loops and
+// optimisation levels. The choices reproduce the unfused graph it replaced
+// (per-head score GEMMs + edge softmax) as built at -O3: MulAdd (one rounding
+// on an FMA target) where that graph's loops contracted, RoundedProduct (the
+// product rounded on its own, then a separate add) where they did not.
+inline double MulAdd(double x, double y, double z) {
+#ifdef __FMA__
+  return std::fma(x, y, z);
+#else
+  return x * y + z;  // no FMA unit: nothing could have contracted
+#endif
+}
+
+inline double RoundedProduct(double x, double y) {
+#ifdef __FMA__
+  return std::fma(x, y, 0.0);  // an fma result cannot contract into the next add
+#else
+  return x * y;
+#endif
+}
+
+// dst = the (rows x cols) row-major src transposed: the GAT attention
+// vectors arrive d x heads, and head-major copies keep the per-head inner
+// loops contiguous.
+void TransposeInto(const double* src, int rows, int cols, std::vector<double>* dst) {
+  dst->resize(static_cast<size_t>(rows) * cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) (*dst)[static_cast<size_t>(c) * rows + r] = src[r * cols + c];
+  }
+}
+
+// Calls fn(r) for every listed row, or for rows [0, count) when `rows` is
+// null (the dense, unknown-support case).
+template <typename Fn>
+void ForRows(const std::vector<int>* rows, int count, const Fn& fn) {
+  if (rows != nullptr) {
+    for (int r : *rows) fn(r);
+  } else {
+    for (int r = 0; r < count; ++r) fn(r);
+  }
+}
+
+}  // namespace
+
+Var GatAttention(Var h, Var attn_left, Var attn_right,
+                 const std::shared_ptr<const EdgeSet>& edges, int heads,
+                 double leaky_slope) {
   Tape* tape = CommonTape({h, attn_left, attn_right});
-  const la::Matrix& hv = h.value();
-  const la::Matrix& sl = attn_left.value();
-  const la::Matrix& sr = attn_right.value();
   const int n = edges->num_dst;
-  PPFR_CHECK_LE(n, edges->num_src);
-  PPFR_CHECK_EQ(hv.rows(), edges->num_src);
-  PPFR_CHECK_EQ(sl.rows(), edges->num_src);
-  PPFR_CHECK_EQ(sr.rows(), edges->num_src);
-  PPFR_CHECK_EQ(sl.cols(), heads);
-  PPFR_CHECK_EQ(sr.cols(), heads);
-  PPFR_CHECK_EQ(hv.cols() % heads, 0);
-  const int dim = hv.cols() / heads;
+  const int num_src = edges->num_src;
+  const int width = h.cols();
+  PPFR_CHECK_GE(heads, 1);
+  PPFR_CHECK_LE(n, num_src);
+  PPFR_CHECK_EQ(h.rows(), num_src);
+  PPFR_CHECK_EQ(width % heads, 0);
+  const int dim = width / heads;
+  PPFR_CHECK_EQ(attn_left.rows(), dim);
+  PPFR_CHECK_EQ(attn_left.cols(), heads);
+  PPFR_CHECK_EQ(attn_right.rows(), dim);
+  PPFR_CHECK_EQ(attn_right.cols(), heads);
   const int64_t m = edges->num_edges();
 
-  // Saved for backward: attention coefficients and pre-activation signs.
-  auto alpha = std::make_shared<std::vector<double>>(static_cast<size_t>(m) * heads);
-  auto z_pos = std::make_shared<std::vector<char>>(static_cast<size_t>(m) * heads);
+  // Scores [sl | sr] per source row. Each dot sums in ascending k from 0.0,
+  // exactly as the naive score GEMM (n = 1 per head always dispatches there)
+  // did; that GEMM skipped zero features, which for finite values changes
+  // nothing (an FMA adding a ±0 product to an accumulator that started at
+  // +0.0 returns the accumulator). The scores live in a grad-free tape node:
+  // replay recycles its value buffer, and backward collects [dsl | dsr] in
+  // its gradient buffer, which the arena resets support-aware. (Creating a
+  // node may move the tape's node storage, so each Value reference below is
+  // taken after the last node creation before its use.)
+  la::Matrix scores = tape->NewValue(num_src, 2 * heads, /*zero_init=*/false);
+  {
+    const la::Matrix& hv = h.value();
+    thread_local std::vector<double> left_t;
+    thread_local std::vector<double> right_t;
+    TransposeInto(attn_left.value().data(), dim, heads, &left_t);
+    TransposeInto(attn_right.value().data(), dim, heads, &right_t);
+    const double* al = left_t.data();  // head-major: al[head * dim + c]
+    const double* ar = right_t.data();
+    la::ActiveBackend().Apply(num_src, RowGrain(2 * width), [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        const double* hr = hv.row(static_cast<int>(r));
+        double* sr = scores.row(static_cast<int>(r));
+        for (int head = 0; head < heads; ++head) {
+          const double* hh = hr + head * dim;
+          const double* lh = al + head * dim;
+          const double* rh = ar + head * dim;
+          double left = 0.0;
+          double right = 0.0;
+          for (int c = 0; c < dim; ++c) {
+            left = MulAdd(hh[c], lh[c], left);
+            right = MulAdd(hh[c], rh[c], right);
+          }
+          sr[head] = left;
+          sr[heads + head] = right;
+        }
+      }
+    });
+  }
+  const Var scores_var = tape->MakeNode(std::move(scores), false, nullptr, {});
 
-  la::Matrix out = tape->NewValue(n, hv.cols(), /*zero_init=*/true);
-  // Destination rows are independent — each (i, head) writes only out.row(i)
-  // and its own alpha slots — so the forward fans out over destination
-  // chunks. Chunk boundaries are placed on CUMULATIVE degree (row_ptr is the
-  // prefix sum), not row count: per-row cost is O(degree), so hub nodes in a
-  // power-law graph would otherwise serialise one chunk. The partition never
-  // affects results, only which thread computes them.
-  const int64_t edge_grain = std::max<int64_t>(1, kApplyGrain / std::max(heads * dim, 1));
+  // Saved for backward, row k per edge: [alpha_k(head…) | (z_k > 0)(head…)].
+  // Its node is created before the softmax runs so that the output buffer
+  // can be requested next and one walk per destination fills both; the
+  // buffer's storage stays put when the node takes it over.
+  la::Matrix saved = tape->NewValue(static_cast<int>(m), 2 * heads, /*zero_init=*/false);
+  double* const saved_data = saved.data();
+  const Var saved_var = tape->MakeNode(std::move(saved), false, nullptr, {});
+  const la::Matrix& sc = tape->Value(scores_var);
+  const la::Matrix& hv = tape->Value(h);
+  la::Matrix out = tape->NewValue(n, width, /*zero_init=*/true);
+  // Destination rows are independent — each writes only its own edges' rows
+  // of `saved` and its own output row — so the walk fans out over
+  // destination chunks. Chunk boundaries are placed on CUMULATIVE degree
+  // (row_ptr is the prefix sum), not row count: per-row cost is O(degree),
+  // so hub nodes in a power-law graph would otherwise serialise one chunk.
+  // The partition never affects results, only which thread computes them.
+  const int64_t edge_grain = std::max<int64_t>(1, kApplyGrain / std::max(width, 1));
   const int64_t num_chunks =
       n == 0 ? 0 : std::max<int64_t>(1, std::min<int64_t>(n, m / edge_grain));
   const std::vector<int64_t> bounds =
       num_chunks > 0 ? la::NnzBalancedRowBounds(edges->row_ptr, n, num_chunks)
                      : std::vector<int64_t>{0};
+  // Per destination and head: stable softmax over e_ij, then the
+  // alpha-weighted sum of source rows; one walk over the destination's edges
+  // serves every head.
   la::ActiveBackend().Apply(num_chunks, 1, [&](int64_t c0, int64_t c1) {
-    const int64_t i0 = bounds[static_cast<size_t>(c0)];
-    const int64_t i1 = bounds[static_cast<size_t>(c1)];
-    for (int head = 0; head < heads; ++head) {
-      const int col0 = head * dim;
-      for (int64_t i = i0; i < i1; ++i) {
-        const int64_t begin = edges->row_ptr[i];
-        const int64_t end = edges->row_ptr[i + 1];
-        if (begin == end) continue;
-        // Stable softmax over e_ij.
-        double mx = -1e300;
-        for (int64_t k = begin; k < end; ++k) {
-          const int j = edges->col_idx[k];
-          const double z = sl(static_cast<int>(i), head) + sr(j, head);
-          const double e = z > 0.0 ? z : leaky_slope * z;
-          (*z_pos)[static_cast<size_t>(k) * heads + head] = z > 0.0 ? 1 : 0;
-          (*alpha)[static_cast<size_t>(k) * heads + head] = e;  // store e temporarily
-          mx = std::max(mx, e);
+    thread_local std::vector<double> scratch;  // [max | denom] per head
+    scratch.resize(2 * static_cast<size_t>(heads));
+    double* const mx = scratch.data();
+    double* const denom = mx + heads;
+    for (int64_t i = bounds[static_cast<size_t>(c0)];
+         i < bounds[static_cast<size_t>(c1)]; ++i) {
+      const int64_t begin = edges->row_ptr[i];
+      const int64_t end = edges->row_ptr[i + 1];
+      if (begin == end) continue;
+      const double* sl_i = sc.row(static_cast<int>(i));
+      std::fill(mx, mx + heads, -1e300);
+      std::fill(denom, denom + heads, 0.0);
+      for (int64_t k = begin; k < end; ++k) {
+        const double* sr_j = sc.row(edges->col_idx[k]) + heads;
+        double* row = saved_data + k * 2 * heads;
+        for (int head = 0; head < heads; ++head) {
+          const double z = sl_i[head] + sr_j[head];
+          const double e = z > 0.0 ? z : RoundedProduct(leaky_slope, z);
+          row[heads + head] = z > 0.0 ? 1.0 : 0.0;
+          row[head] = e;  // e for now, alpha below
+          mx[head] = std::max(mx[head], e);
         }
-        double denom = 0.0;
-        for (int64_t k = begin; k < end; ++k) {
-          double& slot = (*alpha)[static_cast<size_t>(k) * heads + head];
-          slot = std::exp(slot - mx);
-          denom += slot;
+      }
+      for (int64_t k = begin; k < end; ++k) {
+        double* row = saved_data + k * 2 * heads;
+        for (int head = 0; head < heads; ++head) {
+          row[head] = std::exp(row[head] - mx[head]);
+          denom[head] += row[head];
         }
-        double* out_row = out.row(static_cast<int>(i)) + col0;
-        for (int64_t k = begin; k < end; ++k) {
-          double& slot = (*alpha)[static_cast<size_t>(k) * heads + head];
-          slot /= denom;  // now alpha_ij
-          const double* hj = hv.row(edges->col_idx[k]) + col0;
-          for (int c = 0; c < dim; ++c) out_row[c] += slot * hj[c];
+      }
+      double* out_row = out.row(static_cast<int>(i));
+      for (int64_t k = begin; k < end; ++k) {
+        double* row = saved_data + k * 2 * heads;
+        const double* hj = hv.row(edges->col_idx[k]);
+        for (int head = 0; head < heads; ++head) {
+          const double a = row[head] / denom[head];
+          row[head] = a;
+          for (int c = head * dim; c < (head + 1) * dim; ++c) {
+            out_row[c] = MulAdd(a, hj[c], out_row[c]);
+          }
         }
       }
     }
@@ -982,29 +1061,30 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
   const int out_id = tape->num_nodes();
   return MakeOp(
       tape, std::move(out), needs, {h, attn_left, attn_right},
-      [h, attn_left, attn_right, edges, heads, dim, leaky_slope, alpha, z_pos,
-       out_id](Tape& tp, const la::Matrix& g) {
+      [h, attn_left, attn_right, scores_var, saved_var, edges, heads, dim,
+       leaky_slope, out_id](Tape& tp, const la::Matrix& g) {
         const la::Matrix& hv = tp.Value(h);
+        const la::Matrix& alpha = tp.Value(saved_var);
         const int n = edges->num_dst;
+        const int num_src = edges->num_src;
         const bool need_h = tp.NeedsGrad(h);
-        const bool need_attn = tp.NeedsGrad(attn_left) || tp.NeedsGrad(attn_right);
 
         // When the output gradient's nonzero-row support is known (the
         // seeded per-node influence passes), only the supported destinations
         // carry gradient: a skipped destination's edges would contribute
-        // exact ±0 products. The touched parent rows are then the union of
-        // the supported destinations' neighbour lists (dh / dsr source rows;
-        // self-loops put i itself in its own list) and the support rows
-        // themselves (dsl), declared via GradRefPartial so resetting for the
-        // next seed stays O(receptive field) — GAT per-node influence costs
-        // O(2-hop) like GCN's SpMM path instead of O(n).
+        // exact ±0 products. The touched rows are then the supported
+        // destinations' neighbour lists (dh and dsr source rows; self-loops
+        // put i itself in its own list) plus the support rows themselves
+        // (dsl), declared via GradRefPartial so resetting for the next seed
+        // stays O(receptive field) — GAT per-node influence costs O(2-hop)
+        // like GCN's SpMM path instead of O(n).
         const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
         // thread_local scratch: runs once per seed per layer inside the
         // pooled per-node loop, which must stay allocation-free.
         thread_local std::vector<int> targets;
+        thread_local std::vector<int> touched;
         la::Matrix* dh = nullptr;
-        la::Matrix* dsl = nullptr;
-        la::Matrix* dsr = nullptr;
+        la::Matrix* ds = nullptr;  // [dsl | dsr] per source row
         if (supp != nullptr) {
           targets.clear();
           for (int i : *supp) {
@@ -1014,60 +1094,124 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
           }
           std::sort(targets.begin(), targets.end());
           targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-          dh = need_h ? &tp.GradRefPartial(h, targets) : nullptr;
-          dsl = tp.NeedsGrad(attn_left) ? &tp.GradRefPartial(attn_left, *supp)
-                                        : nullptr;
-          dsr = tp.NeedsGrad(attn_right) ? &tp.GradRefPartial(attn_right, targets)
-                                         : nullptr;
+          touched.clear();
+          std::set_union(targets.begin(), targets.end(), supp->begin(), supp->end(),
+                         std::back_inserter(touched));
+          ds = &tp.GradRefPartial(scores_var, touched);
+          if (need_h) dh = &tp.GradRefPartial(h, touched);
         } else {
-          dh = need_h ? &tp.GradRef(h) : nullptr;
-          dsl = tp.NeedsGrad(attn_left) ? &tp.GradRef(attn_left) : nullptr;
-          dsr = tp.NeedsGrad(attn_right) ? &tp.GradRef(attn_right) : nullptr;
+          ds = &tp.GradRef(scores_var);
+          if (need_h) dh = &tp.GradRef(h);
         }
+        const std::vector<int>* src_rows = supp != nullptr ? &targets : nullptr;
 
-        // Source-node scatter rows collide across destinations, so the
-        // backward stays serial.
-        std::vector<double> dalpha;  // per-edge scratch for the current (i, head)
-        const auto backward_dest = [&](int i, int head) {
-          const int col0 = head * dim;
+        // Edge softmax backward, one walk over each destination's edges for
+        // all heads. Source-node scatter rows collide across destinations, so
+        // it stays serial; per element it accumulates in the same order as
+        // a per-head pass (destinations ascending, then edges).
+        // dalpha_ij = g_i · h_j per head. The unfused graph's loop summed its
+        // first 4·⌊d/4⌋ terms as a vectorised in-order reduction (products
+        // rounded, then added) and contracted the tail into FMAs.
+        const int dot_split = dim / 4 * 4;
+        thread_local std::vector<double> dalpha;  // deg x heads, this destination
+        thread_local std::vector<double> weighted_sum;  // Σ_j alpha_ij dalpha_ij
+        weighted_sum.resize(static_cast<size_t>(heads));
+        const auto backward_dest = [&](int i) {
           const int64_t begin = edges->row_ptr[i];
           const int64_t end = edges->row_ptr[i + 1];
           if (begin == end) return;
-          const double* gi = g.row(i) + col0;
-          dalpha.assign(static_cast<size_t>(end - begin), 0.0);
-          double weighted_sum = 0.0;  // sum_j alpha_ij * dalpha_ij
+          const double* gi = g.row(i);
+          const size_t need = static_cast<size_t>(end - begin) * heads;
+          if (dalpha.size() < need) dalpha.resize(need);
+          double* ws = weighted_sum.data();
+          std::fill(ws, ws + heads, 0.0);
           for (int64_t k = begin; k < end; ++k) {
             const int j = edges->col_idx[k];
-            const double a = (*alpha)[static_cast<size_t>(k) * heads + head];
-            const double* hj = hv.row(j) + col0;
-            double dot = 0.0;
-            for (int c = 0; c < dim; ++c) dot += gi[c] * hj[c];
-            dalpha[static_cast<size_t>(k - begin)] = dot;
-            weighted_sum += a * dot;
-            if (need_h) {
-              double* dhj = dh->row(j) + col0;
-              for (int c = 0; c < dim; ++c) dhj[c] += a * gi[c];
+            const double* a_row = alpha.row(static_cast<int>(k));
+            const double* hj = hv.row(j);
+            double* dhj = need_h ? dh->row(j) : nullptr;
+            double* dak = dalpha.data() + static_cast<size_t>(k - begin) * heads;
+            for (int head = 0; head < heads; ++head) {
+              const int col0 = head * dim;
+              const double a = a_row[head];
+              double dot = 0.0;
+              for (int c = 0; c < dot_split; ++c) {
+                dot += RoundedProduct(gi[col0 + c], hj[col0 + c]);
+              }
+              for (int c = dot_split; c < dim; ++c) {
+                dot = MulAdd(gi[col0 + c], hj[col0 + c], dot);
+              }
+              dak[head] = dot;
+              ws[head] = MulAdd(a, dot, ws[head]);
+              if (dhj != nullptr) {
+                for (int c = col0; c < col0 + dim; ++c) dhj[c] = MulAdd(a, gi[c], dhj[c]);
+              }
             }
           }
-          if (!need_attn) return;
+          double* dsl_i = ds->row(i);
           for (int64_t k = begin; k < end; ++k) {
-            const int j = edges->col_idx[k];
-            const double a = (*alpha)[static_cast<size_t>(k) * heads + head];
-            const double de =
-                a * (dalpha[static_cast<size_t>(k - begin)] - weighted_sum);
-            const double dz =
-                (*z_pos)[static_cast<size_t>(k) * heads + head] ? de : leaky_slope * de;
-            if (dsl != nullptr) (*dsl)(i, head) += dz;
-            if (dsr != nullptr) (*dsr)(j, head) += dz;
+            const double* a_row = alpha.row(static_cast<int>(k));
+            const double* dak = dalpha.data() + static_cast<size_t>(k - begin) * heads;
+            double* dsr_j = ds->row(edges->col_idx[k]) + heads;
+            for (int head = 0; head < heads; ++head) {
+              const double de = RoundedProduct(a_row[head], dak[head] - ws[head]);
+              const double dz =
+                  a_row[heads + head] != 0.0 ? de : RoundedProduct(leaky_slope, de);
+              dsl_i[head] += dz;
+              dsr_j[head] += dz;
+            }
           }
         };
-        for (int head = 0; head < heads; ++head) {
-          if (supp != nullptr) {
-            for (int i : *supp) backward_dest(i, head);
-          } else {
-            for (int i = 0; i < n; ++i) backward_dest(i, head);
+        ForRows(supp, n, backward_dest);
+
+        // Score backward: dh += dsr ⊗ attn_right, then dh += dsl ⊗ attn_left
+        // (the unfused graph's reverse node order), and the attention-vector
+        // gradients Σ_r h_r dsr(r) / Σ_r h_r dsl(r) over ascending rows. A
+        // zero score gradient adds only ±0, so rows without one are skipped:
+        // the dense and support-pruned passes produce the same bits.
+        // Both run on head-major copies of the d x heads attention matrices
+        // (the gradient copied in and back out), so per-element operation
+        // sequences are unchanged.
+        thread_local std::vector<double> attn_t;
+        thread_local std::vector<double> grad_t;
+        const auto score_terms = [&](const std::vector<int>* rows, int count,
+                                     int ds_col0, Var attn) {
+          TransposeInto(tp.Value(attn).data(), dim, heads, &attn_t);
+          const double* av = attn_t.data();
+          if (need_h) {
+            ForRows(rows, count, [&](int r) {
+              const double* dsr = ds->row(r) + ds_col0;
+              double* dp = dh->row(r);
+              for (int head = 0; head < heads; ++head) {
+                const double t = dsr[head];
+                if (t == 0.0) continue;
+                for (int c = head * dim; c < (head + 1) * dim; ++c) {
+                  dp[c] += RoundedProduct(t, av[c]);
+                }
+              }
+            });
           }
-        }
+          if (!tp.NeedsGrad(attn)) return;
+          la::Matrix& da = tp.GradRef(attn);
+          TransposeInto(da.data(), dim, heads, &grad_t);
+          double* dt = grad_t.data();
+          ForRows(rows, count, [&](int r) {
+            const double* dsr = ds->row(r) + ds_col0;
+            const double* hr = hv.row(r);
+            for (int head = 0; head < heads; ++head) {
+              const double t = dsr[head];
+              if (t == 0.0) continue;
+              for (int c = head * dim; c < (head + 1) * dim; ++c) {
+                dt[c] = MulAdd(hr[c], t, dt[c]);
+              }
+            }
+          });
+          for (int head = 0; head < heads; ++head) {
+            for (int c = 0; c < dim; ++c) da(c, head) = dt[head * dim + c];
+          }
+        };
+        score_terms(src_rows, num_src, heads, attn_right);
+        score_terms(supp, n, 0, attn_left);
       });
 }
 

@@ -48,10 +48,15 @@ Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x);
 // narrow op in one pass; per-lane column windows never mix, and each lane's
 // forward/backward is bitwise identical to the narrow op applied to that
 // lane's windows (the la::Backend::GemmLanes* contract). SpMM, elementwise
-// ops, AddRowVec, ConcatCols and GatherRows are column-count-invariant per
-// element, so the lane-wide graph reuses them UNCHANGED — only ops that
-// contract over columns (GEMM) or mix a row's columns (softmax, NLL picks)
-// need lane-aware variants.
+// ops, AddRowVec and GatherRows are column-count-invariant per element, so
+// the lane-wide graph reuses them UNCHANGED — only ops that contract over
+// columns (GEMM), mix a row's columns (softmax, NLL picks) or place columns
+// (ConcatCols) need to know the lane count.
+//
+// Multi-head GAT tensors nest heads inside lanes: lane-major [lane][head][d],
+// i.e. (lane l, head h) owns columns [(l·H + h)·d, (l·H + h + 1)·d). The L·H
+// (lane, head) pairs are then independent blocks of width d, so a lane op
+// given `lanes` = L·H treats every head of every lane as its own lane.
 
 // Lane-blocked dense product. `a` is lane-shared when a.cols() == b.rows()
 // (e.g. the feature matrix under a lane-wide weight; must not need grad for
@@ -72,11 +77,6 @@ Var LogSoftmaxRowsLanes(Var logits, int lanes);
 Var WeightedNllLanes(Var logp, const std::vector<int>& rows,
                      const std::vector<int>& labels,
                      const std::vector<double>& weights, double denom, int lanes);
-
-// Copies columns [col0, col0 + width) of `a` into a new node (the lane
-// extraction primitive for ops that stay per-lane, e.g. GAT attention).
-// Backward adds the gradient back into the parent window, support-aware.
-Var SliceCols(Var a, int col0, int width);
 
 // ---- Elementwise / broadcast ----
 
@@ -117,7 +117,11 @@ Var WeightedNll(Var logp, const std::vector<int>& rows, const std::vector<int>& 
 // ---- Shape ops / reductions ----
 
 Var GatherRows(Var a, const std::vector<int>& indices);
-Var ConcatCols(const std::vector<Var>& parts);
+// Column concatenation, lane by lane: every part is lane-wide with `lanes`
+// windows, and output lane l is [part_0 lane l | part_1 lane l | …]. With the
+// per-head GAT weights as parts this builds the [lane][head][d] layout;
+// lanes == 1 is the plain concatenation.
+Var ConcatCols(const std::vector<Var>& parts, int lanes = 1);
 Var SumAll(Var a);   // -> 1x1
 Var MeanAll(Var a);  // -> 1x1
 Var RowSums(Var a);  // n x c -> n x 1
@@ -128,16 +132,21 @@ Var RowSums(Var a);  // n x c -> n x 1
 // Backward: dL/dY = 2 L Y. This is the InFoRM individual-fairness bias term.
 Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Var y);
 
-// Fused GAT attention: for every head h and destination i,
-//   z_ij = attn_left(i,h) + attn_right(j,h),  e_ij = LeakyReLU(z_ij, slope)
+// Fused GAT attention over `heads` independent heads of width d. `h` is
+// num_src x (heads·d) projected features and attn_left / attn_right are
+// d x heads attention vectors (one column per head). For every head h and
+// destination i:
+//   sl(i,h) = h_i[h-block] · attn_left[:,h],  sr(j,h) = h_j[h-block] · attn_right[:,h]
+//   z_ij = sl(i,h) + sr(j,h),  e_ij = LeakyReLU(z_ij, slope)
 //   alpha_ij = softmax_j(e_ij)  over j in N(i)
 //   out_i[h-block] = sum_j alpha_ij * h_j[h-block]
-// `h` is num_src x (heads*dim) and attn_left / attn_right are num_src x heads
-// over the source rows; destination i reads attn_left at source row i (the
-// block prefix property), and the output has num_dst rows.
-Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
-                         const std::shared_ptr<const EdgeSet>& edges, int heads,
-                         double leaky_slope);
+// Destination i is source row i (the block prefix property) and the output
+// has num_dst rows. Heads never mix: one call over H heads is bitwise H
+// one-head calls on the heads' columns, so the lane-wide graph passes
+// lanes·heads as `heads` over the [lane][head][d] layout.
+Var GatAttention(Var h, Var attn_left, Var attn_right,
+                 const std::shared_ptr<const EdgeSet>& edges, int heads,
+                 double leaky_slope);
 
 }  // namespace ppfr::ag
 

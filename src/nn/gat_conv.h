@@ -12,33 +12,32 @@ namespace ppfr::nn {
 // Multi-head graph attention layer (Velickovic et al.):
 //   per head h: H_h = X W_h,  e_ij = LeakyReLU(a_lᵀ H_h[i] + a_rᵀ H_h[j])
 //   alpha = softmax_j(e_ij) over j ∈ N(i) ∪ {i},  out_i = Σ_j alpha_ij H_h[j]
-// Heads are concatenated when `concat` is true (hidden layers) and averaged
-// otherwise (output layer).
+// Head outputs are concatenated (out_dim·heads columns); the output layer
+// runs one head.
 class GatConv {
  public:
-  GatConv(int in_dim, int out_dim, int heads, bool concat, uint64_t seed);
+  GatConv(int in_dim, int out_dim, int heads, uint64_t seed);
 
   GatConv(const GatConv&) = default;
   GatConv& operator=(const GatConv&) = default;
 
   // `edges` is the attention support: the context's self-looped edge set, or
   // a block hop's rows of it (destinations are the leading rows of `x`).
-  // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward):
-  // the per-head projections and attention-score GEMMs run lane-wide, then
-  // the edge softmax-aggregate — whose per-row softmax would mix lanes — runs
-  // per lane on sliced windows, and the lane outputs concatenate back into
-  // the lane-major wide layout.
+  // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward).
+  // Every lane count takes one path: the per-head weights concatenate into
+  // [lane][head][d] columns, one GEMM projects all of them, and one
+  // ag::GatAttention treats the lanes·heads (lane, head) pairs as
+  // independent heads.
   ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
                   ag::Var x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 
-  int output_dim() const { return concat_ ? out_dim_ * heads_ : out_dim_; }
+  int output_dim() const { return out_dim_ * heads_; }
 
  private:
   int out_dim_;
   int heads_;
-  bool concat_;
   std::vector<ag::Parameter> weights_;     // per head: in_dim x out_dim
   std::vector<ag::Parameter> attn_left_;   // per head: out_dim x 1
   std::vector<ag::Parameter> attn_right_;  // per head: out_dim x 1

@@ -68,8 +68,8 @@ std::unique_ptr<GnnModel> Gcn::Clone() const { return std::make_unique<Gcn>(*thi
 // ---- GAT ----
 
 Gat::Gat(int in_dim, int hidden_dim, int num_classes, int heads, uint64_t seed)
-    : conv1_(in_dim, hidden_dim, heads, /*concat=*/true, seed),
-      conv2_(hidden_dim * heads, num_classes, 1, /*concat=*/false, seed + 101) {}
+    : conv1_(in_dim, hidden_dim, heads, seed),
+      conv2_(hidden_dim * heads, num_classes, 1, seed + 101) {}
 
 ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
                      const ForwardOptions& /*options*/) {

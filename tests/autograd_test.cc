@@ -439,33 +439,41 @@ TEST(LaplacianQuadraticTest, EqualsPairwiseForm) {
   EXPECT_NEAR(quad.scalar(), pairwise, 1e-10);
 }
 
-TEST(GradCheckTest, EdgeSoftmaxAggregate) {
-  Rng rng(19);
-  const int n = 5, heads = 2, dim = 3;
-  Parameter h = MakeParam("h", n, heads * dim, &rng);
-  Parameter sl = MakeParam("sl", n, heads, &rng);
-  Parameter sr = MakeParam("sr", n, heads, &rng);
-  // Small graph with self-loops, destination-grouped.
+// Small destination-grouped graph with self-loops (square: every node is a
+// destination).
+std::shared_ptr<EdgeSet> SmallEdgeSet() {
   auto edges = std::make_shared<EdgeSet>();
-  edges->num_dst = n;
-  edges->num_src = n;
   const std::vector<std::vector<int>> nbrs{{0, 1, 2}, {1, 0}, {2, 0, 3}, {3, 2, 4}, {4, 3}};
-  edges->row_ptr.assign(n + 1, 0);
-  for (int i = 0; i < n; ++i) {
+  edges->num_dst = static_cast<int>(nbrs.size());
+  edges->num_src = edges->num_dst;
+  edges->row_ptr.assign(nbrs.size() + 1, 0);
+  for (size_t i = 0; i < nbrs.size(); ++i) {
     edges->row_ptr[i + 1] = edges->row_ptr[i] + static_cast<int64_t>(nbrs[i].size());
     for (int j : nbrs[i]) edges->col_idx.push_back(j);
   }
+  return edges;
+}
+
+TEST(GradCheckTest, GatAttention) {
+  // Four independent heads — two replay lanes of two heads each in the
+  // lane-wide layout — with gradients into the projected features and both
+  // attention-vector matrices.
+  Rng rng(19);
+  const int n = 5, heads = 4, dim = 3;
+  Parameter h = MakeParam("h", n, heads * dim, &rng);
+  Parameter al = MakeParam("attn_l", dim, heads, &rng);
+  Parameter ar = MakeParam("attn_r", dim, heads, &rng);
+  const auto edges = SmallEdgeSet();
   auto build = [&](Tape& t) {
-    Var out = EdgeSoftmaxAggregate(t.Leaf(&h), t.Leaf(&sl), t.Leaf(&sr), edges, heads,
-                                   0.2);
+    Var out = GatAttention(t.Leaf(&h), t.Leaf(&al), t.Leaf(&ar), edges, heads, 0.2);
     return MeanAll(Square(out));
   };
-  const GradCheckResult r = GradCheck(build, {&h, &sl, &sr}, &rng, 20);
+  const GradCheckResult r = GradCheck(build, {&h, &al, &ar}, &rng, 30);
   EXPECT_LT(r.max_rel_error, 1e-4);
 }
 
-TEST(EdgeSoftmaxAggregateTest, UniformAttentionAverages) {
-  // With zero attention scores every neighbour gets weight 1/deg, so the op
+TEST(GatAttentionTest, UniformAttentionAverages) {
+  // With zero attention vectors every neighbour gets weight 1/deg, so the op
   // reduces to a plain neighbourhood mean.
   const int n = 3;
   Tape tape;
@@ -478,11 +486,83 @@ TEST(EdgeSoftmaxAggregateTest, UniformAttentionAverages) {
   edges->num_src = n;
   edges->row_ptr = {0, 3, 4, 5};
   edges->col_idx = {0, 1, 2, 1, 2};
-  Var out = EdgeSoftmaxAggregate(tape.Constant(h), tape.Constant(la::Matrix(3, 1)),
-                                 tape.Constant(la::Matrix(3, 1)), edges, 1, 0.2);
+  Var out = GatAttention(tape.Constant(h), tape.Constant(la::Matrix(2, 1)),
+                         tape.Constant(la::Matrix(2, 1)), edges, 1, 0.2);
   EXPECT_NEAR(out.value()(0, 0), 3.0, 1e-12);  // (1+3+5)/3
   EXPECT_NEAR(out.value()(1, 0), 3.0, 1e-12);
   EXPECT_NEAR(out.value()(2, 0), 5.0, 1e-12);
+}
+
+TEST(GatAttentionTest, WideCallEqualsPerLaneCallsBitwise) {
+  // One call over L·H heads in the [lane][head][d] layout must reproduce L
+  // narrow H-head calls on the lanes' column windows bit for bit — output
+  // and every gradient — since the fused replay rests on it.
+  Rng rng(29);
+  const int n = 5, lanes = 3, heads = 2, dim = 4;
+  const int wide_heads = lanes * heads;
+  la::Matrix h = RandomMatrix(n, wide_heads * dim, &rng);
+  la::Matrix al = RandomMatrix(dim, wide_heads, &rng);
+  la::Matrix ar = RandomMatrix(dim, wide_heads, &rng);
+  la::Matrix seed = RandomMatrix(n, wide_heads * dim, &rng);
+  h(2, 5) = 0.0;  // exercises the zero-feature skips
+  const auto edges = SmallEdgeSet();
+
+  Parameter hp("h", h), lp("attn_l", al), rp("attn_r", ar);
+  Tape wide;
+  wide.set_accumulate_param_grads(false);
+  Var wide_out =
+      GatAttention(wide.Leaf(&hp), wide.Leaf(&lp), wide.Leaf(&rp), edges, wide_heads, 0.2);
+  wide.BackwardWithSeed(wide_out, seed);
+  std::vector<double> wide_grads;
+  wide.FlattenLeafGrads({&hp, &lp, &rp}, &wide_grads);
+  const la::Matrix& wide_value = wide_out.value();
+
+  auto window = [](const la::Matrix& m, int col0, int cols) {
+    la::Matrix w(m.rows(), cols);
+    for (int r = 0; r < m.rows(); ++r) {
+      for (int c = 0; c < cols; ++c) w(r, c) = m(r, col0 + c);
+    }
+    return w;
+  };
+  const int hw = heads * dim;
+  for (int l = 0; l < lanes; ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    Parameter hl("h", window(h, l * hw, hw));
+    Parameter ll("attn_l", window(al, l * heads, heads));
+    Parameter rl("attn_r", window(ar, l * heads, heads));
+    Tape narrow;
+    narrow.set_accumulate_param_grads(false);
+    Var out = GatAttention(narrow.Leaf(&hl), narrow.Leaf(&ll), narrow.Leaf(&rl), edges,
+                           heads, 0.2);
+    narrow.BackwardWithSeed(out, window(seed, l * hw, hw));
+    std::vector<double> grads;
+    narrow.FlattenLeafGrads({&hl, &ll, &rl}, &grads);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < hw; ++c) {
+        ASSERT_EQ(out.value()(r, c), wide_value(r, l * hw + c)) << r << "," << c;
+      }
+    }
+    // Flat order: h (n x wide), attn_l (dim x wide_heads), attn_r likewise.
+    const size_t al0 = static_cast<size_t>(n) * wide_heads * dim;
+    const size_t ar0 = al0 + static_cast<size_t>(dim) * wide_heads;
+    const size_t nl0 = static_cast<size_t>(n) * hw;
+    const size_t nr0 = nl0 + static_cast<size_t>(dim) * heads;
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < hw; ++c) {
+        ASSERT_EQ(grads[static_cast<size_t>(r) * hw + c],
+                  wide_grads[static_cast<size_t>(r) * wide_heads * dim + l * hw + c])
+            << "dh " << r << "," << c;
+      }
+    }
+    for (int c = 0; c < dim; ++c) {
+      for (int k = 0; k < heads; ++k) {
+        const size_t narrow_at = static_cast<size_t>(c) * heads + k;
+        const size_t wide_at = static_cast<size_t>(c) * wide_heads + l * heads + k;
+        ASSERT_EQ(grads[nl0 + narrow_at], wide_grads[al0 + wide_at]) << "dattn_l";
+        ASSERT_EQ(grads[nr0 + narrow_at], wide_grads[ar0 + wide_at]) << "dattn_r";
+      }
+    }
+  }
 }
 
 TEST(GradCheckTest, RiskSurrogateShapedExpression) {

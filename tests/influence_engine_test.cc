@@ -17,6 +17,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -109,14 +110,15 @@ TEST_P(TapePoolBitwise, PooledEqualsSerialReferenceOnGat) {
   ExpectBitwiseEqual(want, fx.PerNodeGrads(pooled_cfg));
 }
 
-TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
+TEST(GatAttentionSupportTest, SparseSeedEqualsDenseSeedBitwise) {
   // Drives the fused GAT op directly: a sparse-seeded backward (known row
   // support → support-pruned path) must reproduce a dense whole-matrix seed
   // with the same nonzeros (unknown support → dense path) exactly, for every
-  // parent (h, attn_left, attn_right).
+  // parent (h, attn_left, attn_right). Four heads — two replay lanes of two
+  // heads — so the seeds land in different (lane, head) blocks.
   Rng rng(21);
   const int n = 7;
-  const int heads = 2;
+  const int heads = 4;
   const int dim = 3;
   auto edges = std::make_shared<ag::EdgeSet>();
   edges->num_dst = n;
@@ -129,22 +131,22 @@ TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
     edges->row_ptr.push_back(static_cast<int64_t>(edges->col_idx.size()));
   }
   ag::Parameter hp("h", ppfr::testing::RandomMatrix(n, heads * dim, &rng));
-  ag::Parameter lp("attn_l", ppfr::testing::RandomMatrix(n, heads, &rng));
-  ag::Parameter rp("attn_r", ppfr::testing::RandomMatrix(n, heads, &rng));
+  ag::Parameter lp("attn_l", ppfr::testing::RandomMatrix(dim, heads, &rng));
+  ag::Parameter rp("attn_r", ppfr::testing::RandomMatrix(dim, heads, &rng));
   const std::vector<ag::Parameter*> params{&hp, &lp, &rp};
 
   auto run = [&](bool sparse_seed) {
     for (ag::Parameter* p : params) p->ZeroGrad();
     ag::Tape tape;
-    ag::Var out = ag::EdgeSoftmaxAggregate(tape.Leaf(&hp), tape.Leaf(&lp),
-                                           tape.Leaf(&rp), edges, heads,
-                                           /*leaky_slope=*/0.2);
+    ag::Var out = ag::GatAttention(tape.Leaf(&hp), tape.Leaf(&lp), tape.Leaf(&rp),
+                                   edges, heads, /*leaky_slope=*/0.2);
     if (sparse_seed) {
-      tape.BackwardWithSparseSeed(out, {3, 3}, {2, 4}, {1.5, -0.5});
+      tape.BackwardWithSparseSeed(out, {3, 3, 5}, {2, 7, 10}, {1.5, -0.5, 0.25});
     } else {
       la::Matrix seed(n, heads * dim);
       seed(3, 2) = 1.5;
-      seed(3, 4) = -0.5;
+      seed(3, 7) = -0.5;
+      seed(5, 10) = 0.25;
       tape.BackwardWithSeed(out, seed);
     }
     return FlattenGrads(params);
@@ -814,14 +816,19 @@ std::vector<std::vector<double>> FusedGradsAt(
   return calc.BatchTrainGrad()(points);
 }
 
-class FusedReplayBitwise : public ::testing::TestWithParam<la::BackendKind> {};
+class FusedReplayBitwise
+    : public ::testing::TestWithParam<std::tuple<la::BackendKind, nn::ModelKind>> {
+ protected:
+  la::BackendKind backend() const { return std::get<0>(GetParam()); }
+  nn::ModelKind model_kind() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(FusedReplayBitwise, FusedWidthsReproduceSerialReplayBitwise) {
   // The load-bearing fusion contract: for every lane width, chunk-worker
   // count, and thread count, the fused wide replay returns the width-1
   // serial replay's gradients bit for bit.
-  la::ScopedBackend scoped(GetParam(), 4);
-  EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/47);
+  la::ScopedBackend scoped(backend(), 4);
+  EngineFixture fx(model_kind(), /*seed=*/47);
   const auto points =
       ProbePoints(FlattenValues(fx.model->Params()), /*count=*/5, /*seed=*/417);
 
@@ -837,7 +844,7 @@ TEST_P(FusedReplayBitwise, FusedWidthsReproduceSerialReplayBitwise) {
   {
     // Thread-count invariance: the same fused width under a single-threaded
     // backend of the same kind.
-    la::ScopedBackend single(GetParam(), 1);
+    la::ScopedBackend single(backend(), 1);
     SCOPED_TRACE("width=8 threads=1");
     ExpectBitwiseEqual(want, FusedGradsAt(fx, 8, 1, points));
   }
@@ -848,8 +855,8 @@ TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
   // ReusableLossGraph over a model clone and the train set's exact block
   // (outputs: the distinct train nodes, ascending), evaluated one point at a
   // time.
-  la::ScopedBackend scoped(GetParam(), 2);
-  EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/53);
+  la::ScopedBackend scoped(backend(), 2);
+  EngineFixture fx(model_kind(), /*seed=*/53);
   const auto points =
       ProbePoints(FlattenValues(fx.model->Params()), /*count=*/3, /*seed=*/31);
 
@@ -858,7 +865,7 @@ TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
   std::vector<int> outputs = fx.split.train;
   std::sort(outputs.begin(), outputs.end());
   outputs.erase(std::unique(outputs.begin(), outputs.end()), outputs.end());
-  const nn::Block block = fx.ctx.ExactBlock(nn::ModelKind::kGcn, outputs);
+  const nn::Block block = fx.ctx.ExactBlock(model_kind(), outputs);
   la::Matrix features(block.num_inputs(), fx.ctx.feature_dim());
   for (int i = 0; i < block.num_inputs(); ++i) {
     for (int c = 0; c < features.cols(); ++c) {
@@ -944,13 +951,17 @@ TEST(FusedReplayTest, FusedGradsMatchCentralDifferencesOfTheLoss) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, FusedReplayBitwise,
-                         ::testing::Values(la::BackendKind::kReference,
-                                           la::BackendKind::kParallel,
-                                           la::BackendKind::kSimd),
-                         [](const ::testing::TestParamInfo<la::BackendKind>& info) {
-                           return la::BackendKindName(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FusedReplayBitwise,
+    ::testing::Combine(::testing::Values(la::BackendKind::kReference,
+                                         la::BackendKind::kParallel,
+                                         la::BackendKind::kSimd),
+                       ::testing::Values(nn::ModelKind::kGcn, nn::ModelKind::kGat,
+                                         nn::ModelKind::kGraphSage)),
+    [](const ::testing::TestParamInfo<FusedReplayBitwise::ParamType>& info) {
+      return la::BackendKindName(std::get<0>(info.param)) + "_" +
+             nn::ModelKindName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace ppfr::influence

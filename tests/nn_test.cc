@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "autograd/grad_check.h"
+#include "autograd/ops.h"
 #include "data/split.h"
 #include "nn/adam.h"
 #include "nn/graph_context.h"
@@ -135,6 +138,70 @@ TEST(ModelGradientTest, GatEndToEndGradCheck) {
   };
   const ag::GradCheckResult r = ag::GradCheck(build, model.Params(), &rng, 4);
   EXPECT_LT(r.max_rel_error, 1e-3);
+}
+
+TEST(GatConvTest, WarmReplayAndBackwardAllocateNoMatrices) {
+  // The fused attention op keeps its scores, attention coefficients and sign
+  // mask in tape node buffers — values recycled by replay, [dsl | dsr] in the
+  // arena's gradient buffers — so once a GAT loss graph is recorded, a replay
+  // plus a backward pass allocates no dense matrix. Covered for the narrow
+  // full-graph loss and for a lane-wide (3 replay lanes) exact-block loss.
+  // The loss is seeded through BackwardWithSparseSeed, whose unit row
+  // support keeps every GEMM backward on its in-place row-support kernels.
+  Fixture f(9);
+  std::vector<int> outputs(f.split.train.begin(), f.split.train.begin() + 12);
+  std::sort(outputs.begin(), outputs.end());
+  std::vector<int> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < static_cast<int>(outputs.size()); ++i) {
+    rows.push_back(i);
+    labels.push_back(f.data.labels[static_cast<size_t>(outputs[static_cast<size_t>(i)])]);
+  }
+  const std::vector<double> ones(rows.size(), 1.0);
+  const Block block = f.ctx.ExactBlock(ModelKind::kGat, outputs);
+  la::Matrix block_features(block.num_inputs(), f.ctx.feature_dim());
+  for (int i = 0; i < block.num_inputs(); ++i) {
+    for (int c = 0; c < block_features.cols(); ++c) {
+      block_features(i, c) = f.ctx.features(block.frontier[static_cast<size_t>(i)], c);
+    }
+  }
+
+  for (const int lanes : {1, 3}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::unique_ptr<GnnModel> model =
+        MakeModel(ModelKind::kGat, f.ctx.feature_dim(), f.data.num_classes, 13);
+    WidenModelParams(model.get(), lanes);
+    for (ag::Parameter* p : model->Params()) {  // widened params start at zero
+      for (int64_t i = 0; i < p->value.size(); ++i) {
+        p->value.data()[i] = 0.05 * static_cast<double>(i % 7 - 3);
+      }
+    }
+    auto build = [&](ag::Tape& tape) {
+      if (lanes == 1) {
+        ag::Var logits = model->Forward(tape, f.ctx, ForwardOptions{});
+        return ag::WeightedNll(ag::LogSoftmaxRows(logits), outputs, labels, ones,
+                               static_cast<double>(rows.size()));
+      }
+      ag::Var logits =
+          model->ForwardBlock(tape, block, tape.StaticConstant(block_features), lanes);
+      return ag::WeightedNllLanes(ag::LogSoftmaxRowsLanes(logits, lanes), rows, labels,
+                                  ones, static_cast<double>(rows.size()), lanes);
+    };
+    ag::Tape tape;
+    tape.set_accumulate_param_grads(false);
+    tape.BackwardWithSparseSeed(build(tape), {0}, {0}, {1.0});
+    std::vector<double> recorded;
+    tape.FlattenLeafGrads(model->Params(), &recorded);
+
+    tape.BeginReplay();
+    const int64_t alloc0 = la::MatrixAllocCount();
+    ag::Var loss = build(tape);
+    tape.BackwardWithSparseSeed(loss, {0}, {0}, {1.0});
+    EXPECT_EQ(la::MatrixAllocCount() - alloc0, 0);
+    std::vector<double> replayed;
+    tape.FlattenLeafGrads(model->Params(), &replayed);
+    EXPECT_EQ(replayed, recorded);  // same parameters, same bits
+  }
 }
 
 TEST(ModelGradientTest, SageEndToEndGradCheck) {
