@@ -13,7 +13,8 @@ namespace ppfr::data {
 // Credit datasets cannot be shipped in this offline build; each enum value
 // maps to an SBM configuration calibrated to that dataset's class count, the
 // homophily the paper reports (§VII-D: 0.81 / 0.74 / 0.80 / 0.66 / 0.62) and
-// its sparse degree regime, scaled to laptop-minutes sizes (see DESIGN.md §2).
+// its sparse degree regime, scaled so a full paper sweep runs in minutes on a
+// laptop (per-dataset node counts and degrees: DatasetConfig).
 enum class DatasetId {
   kCoraLike,
   kCiteseerLike,

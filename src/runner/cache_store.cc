@@ -29,7 +29,9 @@ namespace {
 // v2: FrOutput/MethodRun payloads gained the block-CG convergence counters.
 // v3: influence gradients run over exact 2-hop blocks, so FR values (and the
 //     cells trained on them) move in the last bits.
-constexpr uint32_t kFormatVersion = 3;
+// v4: the FR QCLP is solved exactly through its dual, so FR weights (and the
+//     DPFR/PPFR cells fine-tuned on them) change.
+constexpr uint32_t kFormatVersion = 4;
 constexpr uint64_t kMagic = 0x31435252524650ULL;  // "PFRRRC1" little-endian
 
 constexpr const char* kIndexFile = "cache-index.txt";

@@ -141,15 +141,16 @@ TEST(FrTest, WeightsAreFeasibleAndNontrivial) {
   ASSERT_EQ(fr.w.size(), env.train_nodes().size());
   double norm_sq = 0.0, sum = 0.0, max_abs = 0.0;
   for (double w : fr.w) {
-    EXPECT_GE(w, -1.0 - 1e-6);
-    EXPECT_LE(w, 1.0 + 1e-6);
+    EXPECT_GE(w, -1.0 - 1e-12);
+    EXPECT_LE(w, 1.0 + 1e-12);
     norm_sq += w * w;
     sum += w;
     max_abs = std::max(max_abs, std::fabs(w));
   }
-  EXPECT_LE(norm_sq, cfg.fr.alpha * static_cast<double>(fr.w.size()) + 1e-4);
+  EXPECT_LE(norm_sq, cfg.fr.alpha * static_cast<double>(fr.w.size()) +
+                        1e-10 * static_cast<double>(fr.w.size()));
   if (cfg.fr.zero_sum) {
-    EXPECT_NEAR(sum, 0.0, 1e-3);
+    EXPECT_NEAR(sum, 0.0, 1e-10);
   }
   EXPECT_GT(max_abs, 0.05) << "reweighting should actually move some weights";
   // sample_weights = 1 + w.

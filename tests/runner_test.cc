@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -522,6 +523,41 @@ TEST(DiskCacheTest, MismatchedFingerprintIsAMissNotACrash) {
   }
   EXPECT_FALSE(store.Load("fr", 42, &payload));
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(DiskCacheTest, OlderFormatVersionIsAMiss) {
+  // An intact entry written by the previous format (its header field and its
+  // fingerprint both carry the older version) is a plain miss: values a stage
+  // computed under the old format are never served, and the file survives
+  // until the next Store overwrites it.
+  const std::string dir = ::testing::TempDir() + "/disk_cache_old_version";
+  std::filesystem::remove_all(dir);
+  CacheStore store(dir);
+  store.Store("fr", 7, "payload");
+  const std::string path = store.EntryPath("fr", 7);
+  std::string bytes = ReadFileOrDie(path);
+  // Header layout: magic u64 (0-7), format u32 (8-11), fingerprint length
+  // u64 (12-19), fingerprint "v<format>|..." from 20.
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  ASSERT_GT(version, 1u);
+  const std::string current = "v" + std::to_string(version) + "|";
+  const std::string older = "v" + std::to_string(version - 1) + "|";
+  ASSERT_EQ(bytes.compare(20, current.size(), current), 0);
+  ASSERT_EQ(current.size(), older.size());
+  const uint32_t older_version = version - 1;
+  std::memcpy(bytes.data() + 8, &older_version, sizeof(older_version));
+  bytes.replace(20, older.size(), older);
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::string payload;
+  EXPECT_FALSE(store.Load("fr", 7, &payload));
+  EXPECT_TRUE(std::filesystem::exists(path));
+  store.Store("fr", 7, "payload");
+  ASSERT_TRUE(store.Load("fr", 7, &payload));
+  EXPECT_EQ(payload, "payload");
 }
 
 TEST(MultiSeedTest, SeedExpansionMatchesIndependentRunsAndAggregates) {
