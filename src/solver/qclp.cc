@@ -15,7 +15,9 @@ namespace {
 // floor of its evaluation: no root step can improve on it.
 constexpr double kRoundingFloor = 16.0 * std::numeric_limits<double>::epsilon();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr int kMaxRootSteps = 100;     // Illinois or cutting-plane steps per root
+// Illinois or cutting-plane steps per root: the safeguarded Illinois halves
+// its bracket at least 150 times within them.
+constexpr int kMaxRootSteps = 300;
 constexpr int kMaxBracketSteps = 200;  // doublings or halvings per bracket
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
@@ -25,28 +27,37 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // A monotone function's value at a point and the rounding floor of that
-// evaluation.
+// evaluation. A point is on the feasible side when its value does not exceed
+// the floor: a constraint that holds to rounding holds.
 struct Residual {
   double value = 0.0;
   double floor = 0.0;
+  bool Inside() const { return value <= floor; }
 };
 
-// Bracketed Illinois (modified regula falsi) for a monotone f with
-// f(x_in) <= 0 < f(x_out). Returns the last point evaluated on the feasible
-// side f <= 0, once f there reaches its rounding floor or the bracket closes
-// to adjacent doubles.
+// Bracketed Illinois (modified regula falsi) for a monotone f with x_in on
+// the feasible side and x_out off it. Returns the last point evaluated on the
+// feasible side, once f there reaches its rounding floor or the bracket
+// closes to adjacent doubles. The secant can creep along a kink or a plateau
+// of f; a step that finds the bracket no narrower than half its width two
+// steps before bisects instead, so the bracket at least halves every other
+// step.
 template <typename F>
 double IllinoisRoot(const F& f, double x_in, Residual r_in, double x_out,
                     double f_out) {
   double f_in = r_in.value;  // the secant runs on the Illinois-weighted ends
   int last_side = 0;
-  for (int step = 0; step < kMaxRootSteps && r_in.value < -r_in.floor; ++step) {
+  double width_1 = kInf, width_2 = kInf;  // the bracket one and two steps ago
+  for (int step = 0; r_in.value < -r_in.floor; ++step) {
+    PPFR_CHECK_LT(step, kMaxRootSteps) << "QCLP: a multiplier's root did not converge";
     const double lo = std::min(x_in, x_out), hi = std::max(x_in, x_out);
     double x = x_in - f_in * (x_out - x_in) / (f_out - f_in);
-    if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
+    if (!(x > lo && x < hi) || hi - lo > 0.5 * width_2) x = 0.5 * (lo + hi);
     if (!(x > lo && x < hi)) break;
+    width_2 = width_1;
+    width_1 = hi - lo;
     const Residual r = f(x);
-    if (r.value <= 0.0) {
+    if (r.Inside()) {
       x_in = x;
       r_in = r;
       f_in = r.value;
@@ -108,10 +119,7 @@ class DualSolver {
           << "QCLP infeasible: the ball misses the linear constraints";
     } else {
       SolveLp(&point);
-      if (SquaredNorm(point.w) > p_.ball_radius_sq) {
-        const double t = SolveBall(&point);
-        mu = 0.5 / t;
-      }
+      if (SquaredNorm(point.w) > p_.ball_radius_sq) mu = SolveBall(&point);
     }
     return Result(std::move(point), mu);
   }
@@ -147,17 +155,26 @@ class DualSolver {
       slack_a = slack_b;
       lambda_b *= 2.0;
     }
-    double lambda = lambda_b;
-    for (int step = 0; step < kMaxRootSteps && slack_b < 0.0; ++step) {
+    double lambda = lambda_b, theta = 0.0;
+    for (int step = 0; slack_b < 0.0; ++step) {
+      PPFR_CHECK_LT(step, kMaxRootSteps) << "QCLP: the LP's cutting plane did not converge";
       // The lines cᵀw + λ(uᵀw − b) of both ends meet at
       // λ = cᵀ(w_b − w_a) / uᵀ(w_a − w_b), summed over the differences.
-      double dc = 0.0, du = 0.0;
+      double dc = 0.0, du = 0.0, du_magnitude = std::fabs(b);
       for (size_t i = 0; i < n_; ++i) {
         const double d = w_a[i] - w_b[i];
         dc -= c[i] * d;
         du += u[i] * d;
+        du_magnitude += std::fabs(u[i]) * std::max(std::fabs(w_a[i]), std::fabs(w_b[i]));
       }
-      if (!(du > 0.0)) break;
+      if (!(du > 0.0)) {
+        // uᵀw_a > b > uᵀw_b, so du > 0 save for rounding: both vertices lie
+        // on uᵀw = b to rounding, and w_b, optimal at λ_b, is the optimum.
+        PPFR_CHECK_LE(slack_a - slack_b, kRoundingFloor * du_magnitude)
+            << "QCLP: the LP's cutting plane lost its bracket";
+        lambda = lambda_b;
+        break;
+      }
       lambda = std::clamp(dc / du, lambda_a, lambda_b);
       Shift(lambda);
       LpVertex(a_, &w_x);
@@ -168,7 +185,11 @@ class DualSolver {
         gap += a_[i] * d;
         magnitude += (std::fabs(c[i]) + lambda * std::fabs(u[i])) * std::fabs(d);
       }
-      if (gap <= kRoundingFloor * magnitude) break;
+      if (gap <= kRoundingFloor * magnitude) {
+        // Both ends are optimal at the kink λ: combine them onto uᵀw = b.
+        theta = -slack_b / (slack_a - slack_b);
+        break;
+      }
       const double slack_x = Dot(u, w_x) - b;
       if (slack_x > 0.0) {
         lambda_a = lambda;
@@ -180,7 +201,6 @@ class DualSolver {
         slack_b = slack_x;
       }
     }
-    const double theta = slack_b < 0.0 ? -slack_b / (slack_a - slack_b) : 0.0;
     for (size_t i = 0; i < n_; ++i) out->w[i] = w_b[i] + theta * (w_a[i] - w_b[i]);
     // w lies on the optimal face at λ, where every LP-optimal sum multiplier
     // certifies every optimal point: take the vertex's.
@@ -217,6 +237,23 @@ class DualSolver {
       u_max = std::max(u_max, std::fabs(p_.halfspace_u[i]));
     }
     return c_max > 0.0 && u_max > 0.0 ? c_max / u_max : 1.0;
+  }
+
+  // The LP multipliers of `lp` price weight i at c_i + λu_i + ν, and an LP
+  // optimum holds a weight with a positive (negative) price at box_lo
+  // (box_hi). A regularised minimiser on the optimal face can sit a rounding
+  // error short of that bound, when t is exactly where the weight reaches it:
+  // move such weights onto their bound.
+  void SnapToPricedBounds(const DualPoint& lp, std::vector<double>* w) const {
+    const double lo = p_.box_lo, hi = p_.box_hi;
+    const double near = kRoundingFloor * std::max(std::fabs(lo), std::fabs(hi));
+    for (size_t i = 0; i < n_; ++i) {
+      const double u = has_halfspace_ ? p_.halfspace_u[i] : 0.0;
+      const double price = p_.objective[i] + lp.lambda * u + lp.nu;
+      double& x = (*w)[i];
+      if (price > 0.0 && x - lo <= near) x = lo;
+      if (price < 0.0 && hi - x <= near) x = hi;
+    }
   }
 
   // a_ = c + λu.
@@ -327,7 +364,7 @@ class DualSolver {
         magnitude += std::fabs(term);
       }
       const Residual r{dot - b, kRoundingFloor * magnitude};
-      if (r.value <= 0.0) {
+      if (r.Inside()) {
         cur_.w.swap(scratch_);
         cur_.lambda = lambda;
         cur_.nu = nu;
@@ -335,11 +372,11 @@ class DualSolver {
       return r;
     };
     const Residual at_zero = h(0.0);
-    if (at_zero.value <= 0.0) return;
+    if (at_zero.Inside()) return;
     double x_out = 0.0, f_out = at_zero.value;
     double x = lambda_hint_ > 0.0 ? lambda_hint_ : LambdaScale();
     Residual r = h(x);
-    for (int step = 0; r.value > 0.0; ++step) {
+    for (int step = 0; !r.Inside(); ++step) {
       PPFR_CHECK_LT(step, kMaxBracketSteps)
           << "QCLP infeasible: no point of the box satisfies uᵀw <= b";
       x_out = x;
@@ -350,17 +387,37 @@ class DualSolver {
     lambda_hint_ = IllinoisRoot(h, x, r, x_out, f_out);
   }
 
-  // μ > 0: t = 1/(2μ) is the root of ‖w(t)‖ − √R, which is non-decreasing
-  // in t. Leaves the feasible-side point in *out and returns its t (∞ when
-  // the ball turns out inactive).
-  double SolveBall(DualPoint* out) {
+  // Given the LP optimum *point outside the ball, returns μ and leaves the
+  // optimum in *point. t = 1/(2μ) is the root of ‖w(t)‖ − √R, where w(t)
+  // minimises cᵀw + ‖w‖²/(2t) over the box and the linear constraints;
+  // ‖w(t)‖ is non-decreasing in t. w(t) can stall at a vertex inside the
+  // ball over a long range of t before it moves on, so the ball counts as
+  // inactive (μ = 0) only once w(t) is inside it and LP-optimal: the LP's
+  // optimal face then reaches into the ball away from the index-ordered
+  // vertex (tied costs), and the LP multipliers certify w(t).
+  double SolveBall(DualPoint* point) {
     const double radius = std::sqrt(p_.ball_radius_sq);
+    const std::vector<double> w_lp = point->w;
+    DualPoint inside;
     const auto f = [&](double t) {
       SolveHalfspace(t);
       const Residual r{std::sqrt(SquaredNorm(cur_.w)) - radius,
                        kRoundingFloor * radius};
-      if (r.value <= 0.0) *out = cur_;
+      if (r.Inside()) inside = cur_;
       return r;
+    };
+    // cᵀw exceeds the LP optimum cᵀw_lp by no more than the rounding of both
+    // objectives and of the constraint terms the LP multipliers tie them to.
+    const auto lp_optimal = [&](const std::vector<double>& w) {
+      double excess = 0.0, magnitude = 0.0;
+      for (size_t i = 0; i < n_; ++i) {
+        const double u = has_halfspace_ ? p_.halfspace_u[i] : 0.0;
+        excess += p_.objective[i] * (w[i] - w_lp[i]);
+        magnitude += (std::fabs(p_.objective[i]) + point->lambda * std::fabs(u) +
+                      std::fabs(point->nu)) *
+                     (std::fabs(w[i]) + std::fabs(w_lp[i]));
+      }
+      return excess <= kRoundingFloor * magnitude;
     };
     // Start where the unclipped minimiser −t(c − mean c) reaches the sphere.
     double mean = 0.0, spread = 0.0;
@@ -372,24 +429,25 @@ class DualSolver {
     double t = radius / std::sqrt(spread);
     Residual r = f(t);
     double x_out = 0.0, f_out = 0.0;
-    if (r.value <= 0.0) {
+    if (r.Inside()) {
       for (int step = 0;; ++step) {
+        if (lp_optimal(inside.w)) {
+          SnapToPricedBounds(*point, &inside.w);
+          point->w = std::move(inside.w);
+          return 0.0;
+        }
+        PPFR_CHECK_LT(step, kMaxBracketSteps) << "QCLP: the ball multiplier has no bracket";
         const Residual grown = f(2.0 * t);
-        if (grown.value > 0.0) {
+        if (!grown.Inside()) {
           x_out = 2.0 * t;
           f_out = grown.value;
           break;
         }
         t *= 2.0;
-        // ‖w(t)‖ stopped growing inside the ball: the LP's optimal face
-        // reaches into the ball away from the index-ordered vertex (tied
-        // costs), so the ball is inactive (μ = 0). w(t) is feasible and
-        // within R/(2t) of optimal.
-        if (grown.value - r.value <= r.floor || step == kMaxBracketSteps) return kInf;
         r = grown;
       }
     } else {
-      for (int step = 0; r.value > 0.0; ++step) {
+      for (int step = 0; !r.Inside(); ++step) {
         PPFR_CHECK_LT(step, kMaxBracketSteps)
             << "QCLP infeasible: the ball misses the linear constraints";
         x_out = t;
@@ -398,7 +456,9 @@ class DualSolver {
         r = f(t);
       }
     }
-    return IllinoisRoot(f, t, r, x_out, f_out);
+    const double root = IllinoisRoot(f, t, r, x_out, f_out);
+    *point = std::move(inside);
+    return 0.5 / root;
   }
 
   const QclpProblem& p_;

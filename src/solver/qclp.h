@@ -19,9 +19,11 @@ namespace ppfr::solver {
 // so the dual is three nested one-dimensional roots: ν makes Σw = 0 (exactly,
 // on the sorted breakpoints of the piecewise-linear Σw(ν)); λ is the root of
 // uᵀw − b and t = 1/(2μ) the root of ‖w‖ − √R, both by bracketed Illinois
-// steps, each monotone in its multiplier. When the ball is inactive (μ = 0)
-// the program is an LP over the box with at most two linear constraints,
-// solved exactly with ties broken by index.
+// steps (bisecting when the secant stalls), each monotone in its multiplier.
+// When the ball is inactive (μ = 0) the program is an LP over the box with at
+// most two linear constraints, solved exactly with ties broken by index. The
+// ball counts as inactive only when certified: the LP optimum lies in it, or
+// (tied costs) a regularised minimiser inside it is LP-optimal.
 struct QclpProblem {
   std::vector<double> objective;  // c
   double ball_radius_sq = 1.0;

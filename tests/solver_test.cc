@@ -410,6 +410,70 @@ TEST(QclpTest, TiedLpFaceInsideBall) {
   EXPECT_EQ(KktResidual(p, result), 0.0);
 }
 
+TEST(QclpTest, BallBindsPastAStalledRegularisedPath) {
+  // The LP vertex (1, 1) leaves the ball ‖w‖² <= 1.5. On the way there the
+  // regularised minimisers w(t) sit at the vertex (1, 0.5) of the box and the
+  // halfspace w_0 − w_1 <= 0.5, inside the ball, for t in [1.5, 50]; the
+  // optimum lies further on, where the ball binds at (1, √0.5). The zero-sum
+  // problem is the same one twice over, mirrored: (w, −w) with c and u
+  // negated on the mirror half.
+  QclpProblem plain;
+  plain.objective = {-0.99, -0.01};
+  plain.halfspace_u = {1.0, -1.0};
+  plain.halfspace_offset = 0.5;
+  plain.ball_radius_sq = 1.5;
+  QclpProblem zero_sum;
+  zero_sum.objective = {-0.99, -0.01, 0.99, 0.01};
+  zero_sum.halfspace_u = {1.0, -1.0, -1.0, 1.0};
+  zero_sum.halfspace_offset = 1.0;
+  zero_sum.ball_radius_sq = 3.0;
+  zero_sum.zero_sum = true;
+  const double optimum = -0.99 - 0.01 * std::sqrt(0.5);
+  for (const auto& [p, copies] : {std::pair{plain, 1.0}, std::pair{zero_sum, 2.0}}) {
+    SCOPED_TRACE(p.zero_sum ? "zero sum" : "plain");
+    const QclpResult result = SolveQclp(p);
+    EXPECT_NEAR(result.objective_value, copies * optimum, 1e-14);
+    EXPECT_NEAR(result.w[1], std::sqrt(0.5), 1e-14);
+    EXPECT_GT(result.ball_multiplier, 0.0);
+    EXPECT_LE(Infeasibility(p, result.w), 1e-12);
+    EXPECT_LE(KktResidual(p, result), 1e-12);
+  }
+}
+
+TEST(QclpTest, DegenerateHalfspacesAreCertified) {
+  // On the box ∩ {Σw = 0}, uᵀw = 0.5·w_2 − Σw <= 0.5 = b: the first halfspace
+  // holds with equality wherever w_2 = 1, so along the whole regularised path
+  // uᵀw − b is 0 up to rounding and every λ in an interval is a multiplier.
+  // The optimum (−1/2 + √⅛, −1/2 − √⅛, 1) has the ball binding.
+  QclpProblem tight;
+  tight.objective = {1.3, 1.53, -0.13};
+  tight.halfspace_u = {-1.0, -1.0, -0.5};
+  tight.halfspace_offset = 0.5;
+  tight.ball_radius_sq = 1.75;
+  tight.zero_sum = true;
+  // Tied costs: the LP's optimal face {(x, −1 − x, 1)} meets the ball only at
+  // its point nearest 0, (−1/2, −1/2, 1), which lies on the sphere; the
+  // regularised minimisers reach it at the t where w_2 reaches 1.
+  QclpProblem tangent;
+  tangent.objective = {0.81, 0.81, 0.63};
+  tangent.halfspace_u = {-0.5, -2.25, -0.25};
+  tangent.halfspace_offset = 1.25;
+  tangent.ball_radius_sq = 1.5;
+  tangent.zero_sum = true;
+  const std::pair<QclpProblem, double> cases[] = {
+      {tight, -1.545 - 0.23 * std::sqrt(0.125)},
+      {tangent, -0.18},
+  };
+  for (const auto& [p, optimum] : cases) {
+    SCOPED_TRACE("c_0 = " + std::to_string(p.objective[0]));
+    const QclpResult result = SolveQclp(p);
+    EXPECT_NEAR(result.objective_value, optimum, 1e-14);
+    EXPECT_EQ(result.w[2], 1.0);
+    EXPECT_LE(Infeasibility(p, result.w), 1e-12);
+    EXPECT_LE(KktResidual(p, result), 1e-12);
+  }
+}
+
 TEST(QclpDeathTest, InfeasibleHalfspaceAborts) {
   // On [-1, 1]² ∩ {Σw = 0}, uᵀw = 2·w_0 >= -2: no point has uᵀw <= -3.
   QclpProblem p;
