@@ -8,12 +8,9 @@
 //     gradients replayed on pooled model clones.
 // The pooled per-node gradients are verified BITWISE against the serial
 // reference before any timing is reported, and dense-buffer allocations are
-// counted via la::MatrixAllocCount. A third column times the pooled path
-// under the SimdBackend (with its own serial-vs-pooled bitwise gate), so the
-// artifact tracks the vector kernels' effect on per-node gradient throughput
-// alongside the CPU feature-detection result.
+// counted via la::MatrixAllocCount.
 //
-// Two block-solver columns sit on top (both under the SimdBackend):
+// Two block-solver columns sit on top:
 //   * the real pipeline — InfluenceOnNodeLosses over --cg_targets target
 //     nodes at cg_block=1 (the single-RHS oracle) versus --cg_block, with a
 //     per-row relative-error parity gate between the two;
@@ -386,35 +383,14 @@ int Main(int argc, char** argv) {
   const bool bitwise = BitwiseEqual(serial.grads, pooled.grads);
   std::printf("per-node grads pooled-vs-serial bitwise: %s\n", bitwise ? "OK" : "FAIL");
 
-  // The same serial/pooled pair under the SimdBackend (same thread count),
-  // with its own bitwise gate — the pooled/serial invariant must hold under
-  // the vector kernels too. When the simd backend is already active, this
-  // would just repeat the rows above, so they are reused.
-  PathResult simd_serial = serial;
-  PathResult simd_pooled = pooled;
-  bool simd_bitwise = bitwise;
-  if (la::ActiveBackendKind() != la::BackendKind::kSimd) {
-    la::ScopedBackend scoped(la::BackendKind::kSimd,
-                             la::ActiveBackend().num_threads());
-    simd_serial = TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after,
-                                   /*serial=*/true, reps);
-    simd_pooled = TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after,
-                                   /*serial=*/false, reps);
-    simd_bitwise = BitwiseEqual(simd_serial.grads, simd_pooled.grads);
-    std::printf("per-node grads pooled-vs-serial bitwise (simd backend): %s\n",
-                simd_bitwise ? "OK" : "FAIL");
-  }
-  const bool simd_kernels_active = la::simd::KernelsUsable();
-
   const double cg_after = TimeBiasSolve(model.get(), ctx, split.train, data.labels,
                                         sim, after, reps);
 
   // --- Block solver on the real pipeline: the per-node influence sweep
   // (Table 2's workload) over the first --cg_targets train nodes, single-RHS
-  // oracle (cg_block=1) versus blocks of --cg_block, both under the
-  // SimdBackend. The honest pipeline win is bounded by tape-replay gradient
-  // costs, which both paths pay per probe point; the parity gate is the
-  // load-bearing result here. ---
+  // oracle (cg_block=1) versus blocks of --cg_block. The honest pipeline win
+  // is bounded by tape-replay gradient costs, which both paths pay per probe
+  // point; the parity gate is the load-bearing result here. ---
   const int num_targets = std::min(static_cast<int>(split.train.size()), cg_targets);
   const std::vector<int> targets(split.train.begin(), split.train.begin() + num_targets);
   // One rep of these ~10 ms sweeps reads anywhere in 0.6–1.5x on a shared
@@ -426,7 +402,6 @@ int Main(int argc, char** argv) {
   PipelineBlockRun pipe_single, pipe_block, pipe_block_serial;
   std::vector<double> pipe_ratios, fused_ratios;
   {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     influence::InfluenceConfig serial_replay = after;
     serial_replay.replay_lanes = 1;
     for (int round = 0; round < rounds; ++round) {
@@ -482,7 +457,6 @@ int Main(int argc, char** argv) {
   // reproduce the width-1 gradients bit for bit. ---
   bool fused_lane_parity_ok = true;
   {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     const std::vector<double> theta0 = influence::FlattenValues(model->Params());
     constexpr int kProbePoints = 5;
     Rng probe_rng(417);
@@ -545,12 +519,11 @@ int Main(int argc, char** argv) {
                 warm_reuse_ok ? "OK" : "FAIL");
   }
 
-  // --- Block sweep on the synthetic GEMM-batched operator (SimdBackend):
+  // --- Block sweep on the synthetic GEMM-batched operator:
   // k=1 is the oracle row; every other k must agree with it per RHS. ---
   constexpr int kSweepRhs = 16;
   std::vector<SweepRow> sweep;
   {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     SyntheticQuadratic quad(cg_dim, /*seed=*/91);
     influence::MultiVector b(cg_dim, kSweepRhs);
     Rng rng(92);
@@ -574,7 +547,6 @@ int Main(int argc, char** argv) {
 
   const double tput_serial = train_count / serial.seconds;
   const double tput_pooled = train_count / pooled.seconds;
-  const double tput_simd_pooled = train_count / simd_pooled.seconds;
 
   TablePrinter table({"Path", "PerNodeGrads ms", "nodes/s", "allocs", "CG ms"});
   table.AddRow({"serial reference (before)", TablePrinter::Num(serial.seconds * 1e3),
@@ -582,11 +554,6 @@ int Main(int argc, char** argv) {
   table.AddRow({"tape pool (after)", TablePrinter::Num(pooled.seconds * 1e3),
                 TablePrinter::Num(tput_pooled, 0), std::to_string(pooled.allocs),
                 TablePrinter::Num(cg_after * 1e3)});
-  table.AddRow({std::string("tape pool (simd") +
-                    (simd_kernels_active ? ")" : ", scalar fallback)"),
-                TablePrinter::Num(simd_pooled.seconds * 1e3),
-                TablePrinter::Num(tput_simd_pooled, 0),
-                std::to_string(simd_pooled.allocs), ""});
   table.AddSeparator();
   table.AddRow({"speedup", TablePrinter::Num(serial.seconds / pooled.seconds) + "x",
                 TablePrinter::Num(tput_pooled / tput_serial) + "x", "", ""});
@@ -610,7 +577,7 @@ int Main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(6);
+  json.Key("schema_version").Int(7);
   json.Key("nodes").Int(nodes);
   json.Key("train").Int(train_count);
   json.Key("backend").String(la::ActiveBackend().name());
@@ -631,15 +598,9 @@ int Main(int argc, char** argv) {
   json.Key("per_node_allocs_pooled").Int(pooled.allocs);
   json.Key("cg_solve_ms_after").Number(cg_after * 1e3);
   json.Key("bitwise_identical").Bool(bitwise);
-  // SimdBackend column + the feature-detection result it acted on.
+  // Host CPU features.
   json.Key("simd_cpu_avx2_fma").Bool(la::simd::CpuSupportsAvx2Fma());
   json.Key("simd_cpu_avx512").Bool(la::simd::CpuSupportsAvx512());
-  json.Key("simd_kernels_active").Bool(simd_kernels_active);
-  json.Key("per_node_grads_ms_serial_simd").Number(simd_serial.seconds * 1e3);
-  json.Key("per_node_grads_ms_pooled_simd").Number(simd_pooled.seconds * 1e3);
-  json.Key("per_node_throughput_pooled_simd").Number(tput_simd_pooled);
-  json.Key("per_node_speedup_simd").Number(simd_serial.seconds / simd_pooled.seconds);
-  json.Key("bitwise_identical_simd").Bool(simd_bitwise);
   // Block solver: the real per-node influence sweep (cg_block vs the
   // single-RHS oracle) and the synthetic GEMM-batched block sweep.
   json.Key("cg_block").Int(cg_block);
@@ -684,7 +645,7 @@ int Main(int argc, char** argv) {
   WriteFileOrDie(json_path, json.ToString());
   std::printf("wrote %s\n", json_path.c_str());
 
-  return bitwise && simd_bitwise && pipe_parity_ok && sweep_parity_ok &&
+  return bitwise && pipe_parity_ok && sweep_parity_ok &&
                  fused_bitwise && fused_lane_parity_ok && warm_reuse_ok
              ? 0
              : 1;

@@ -4,11 +4,11 @@
 // the cost of every experiment binary in this repo.
 //
 // Before the google-benchmark suite runs, the binary prints a
-// reference/parallel/simd backend comparison per kernel and per thread count
+// reference/parallel backend comparison per kernel and per thread count
 // and emits it as BENCH_micro.json (the BENCH trajectory for the la::Backend
 // layer — per-kernel GFLOP/s across PRs; schema pinned by
 // bench/golden/artifact_schema.txt, section "micro"). Flags:
-//   --la_backend=reference|parallel|simd --la_threads=N   backend for BM_*
+//   --la_backend=reference|parallel --la_threads=N   backend for BM_*
 //   --compare_reps=N        timing repetitions for the comparison (0 skips it)
 //   --compare_gemm_size=N   GEMM problem size (default 512, i.e. 512x512x512)
 //   --json=PATH             comparison artifact path (default BENCH_micro.json)
@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -166,9 +165,9 @@ BENCHMARK(BM_QclpSolve)->Arg(140)->Arg(500);
 
 // ---------------------------------------------------------------------------
 // Backend comparison. Each kernel is timed on a standalone ReferenceBackend
-// and on ParallelBackend/SimdBackend instances with increasing thread
-// counts; the table reports milliseconds, speedups over the reference loops
-// and the simd backend's GFLOP/s. The same numbers are emitted to
+// and on ParallelBackend instances with increasing thread counts; the table
+// reports milliseconds, speedups over the reference loops and the parallel
+// backend's GFLOP/s. The same numbers are emitted to
 // BENCH_micro.json so the kernel trajectory is tracked across PRs like the
 // influence and sweep artifacts.
 // ---------------------------------------------------------------------------
@@ -212,8 +211,7 @@ void RunBackendComparison(const Flags& flags) {
   la::Matrix spmm_x(ctx.num_nodes(), 64), spmm_out(ctx.num_nodes(), 64);
   for (int64_t i = 0; i < spmm_x.size(); ++i) spmm_x.data()[i] = rng.Normal();
   // The lane-fused replay regime: a hidden-16 operand widened to 8 probe
-  // lanes = 128 contiguous columns per row, the shape the multi-column
-  // SpmmRow kernel keeps in registers across a row's whole nonzero list.
+  // lanes = 128 contiguous columns per row.
   la::Matrix spmm_wide_x(ctx.num_nodes(), 128), spmm_wide_out(ctx.num_nodes(), 128);
   for (int64_t i = 0; i < spmm_wide_x.size(); ++i) {
     spmm_wide_x.data()[i] = rng.Normal();
@@ -260,20 +258,17 @@ void RunBackendComparison(const Flags& flags) {
                      benchmark::DoNotOptimize(d);
                    }});
 
-  const bool simd_active = la::simd::KernelsUsable();
-
-  TablePrinter table({"Kernel", "Shape", "thr", "ref ms", "par ms", "par spd",
-                      "simd ms", "simd spd", "simd GFLOP/s"});
+  TablePrinter table(
+      {"Kernel", "Shape", "thr", "ref ms", "par ms", "par spd", "par GFLOP/s"});
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(1);
+  json.Key("schema_version").Int(2);
   json.Key("bench").String("micro");
   json.Key("gemm_size").Int(n);
   json.Key("reps").Int(reps);
   json.Key("hardware_threads").Int(hw);
   json.Key("simd_cpu_avx2_fma").Bool(la::simd::CpuSupportsAvx2Fma());
   json.Key("simd_cpu_avx512").Bool(la::simd::CpuSupportsAvx512());
-  json.Key("simd_kernels_active").Bool(simd_active);
   json.Key("kernels").BeginArray();
 
   const auto reference = la::MakeBackend(la::BackendKind::kReference, 1);
@@ -293,23 +288,16 @@ void RunBackendComparison(const Flags& flags) {
     for (const int t : thread_counts) {
       const double par_ms =
           TimeKernel(*la::MakeBackend(la::BackendKind::kParallel, t), cc, reps);
-      const double simd_ms =
-          TimeKernel(*la::MakeBackend(la::BackendKind::kSimd, t), cc, reps);
-      for (const auto& [name, ms] :
-           {std::pair<const char*, double>{"parallel", par_ms}, {"simd", simd_ms}}) {
-        json.BeginObject();
-        json.Key("backend").String(name);
-        json.Key("threads").Int(t);
-        json.Key("ms").Number(ms);
-        json.Key("gflops").Number(Gflops(cc.flops_per_call, ms));
-        json.EndObject();
-      }
+      json.BeginObject();
+      json.Key("backend").String("parallel");
+      json.Key("threads").Int(t);
+      json.Key("ms").Number(par_ms);
+      json.Key("gflops").Number(Gflops(cc.flops_per_call, par_ms));
+      json.EndObject();
       table.AddRow({cc.kernel, cc.shape, std::to_string(t),
                     TablePrinter::Num(ref_ms, 2), TablePrinter::Num(par_ms, 2),
                     TablePrinter::Num(ref_ms / par_ms, 2) + "x",
-                    TablePrinter::Num(simd_ms, 2),
-                    TablePrinter::Num(ref_ms / simd_ms, 2) + "x",
-                    TablePrinter::Num(Gflops(cc.flops_per_call, simd_ms), 1)});
+                    TablePrinter::Num(Gflops(cc.flops_per_call, par_ms), 1)});
     }
     json.EndArray().EndObject();
   }
@@ -317,9 +305,9 @@ void RunBackendComparison(const Flags& flags) {
 
   std::printf(
       "la::Backend comparison (best of %d reps; %d hardware threads; "
-      "simd kernels %s: avx2+fma=%d avx512=%d)\n",
-      reps, hw, simd_active ? "active" : "fallback (scalar)",
-      la::simd::CpuSupportsAvx2Fma() ? 1 : 0, la::simd::CpuSupportsAvx512() ? 1 : 0);
+      "cpu avx2+fma=%d avx512=%d)\n",
+      reps, hw, la::simd::CpuSupportsAvx2Fma() ? 1 : 0,
+      la::simd::CpuSupportsAvx512() ? 1 : 0);
   table.Print();
 
   const std::string json_path = flags.GetString("json", "BENCH_micro.json");

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
-#include "la/simd_kernels.h"
 
 namespace ppfr::la {
 namespace {
@@ -88,7 +87,7 @@ void NaiveSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha, Matri
 // Serial support-guided kernels: the original loops from matrix.cc /
 // csr_matrix.cc, now the Backend base-class (and small-support) path. The
 // supports a seeded backward produces are tiny, so these loops are the fast
-// path; ParallelBackend/SimdBackend only diverge above a work threshold.
+// path; ParallelBackend only diverges above a work threshold.
 
 void SerialGemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
                                const std::vector<int>& rows) {
@@ -288,40 +287,12 @@ void SerialGemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* ou
 }
 
 // ---------------------------------------------------------------------------
-// Leaf-kernel table. The ParallelBackend owns blocking, packing, cutoffs and
-// the thread pool; the innermost register/vector loops are routed through
-// this table so the SimdBackend can swap in the AVX2/FMA (or AVX-512)
-// variants from la/simd_kernels.h without duplicating any dispatch logic —
-// and fall back to the scalar set per-routine when the CPU probe fails.
+// Leaf kernels. The ParallelBackend owns blocking, packing, cutoffs and the
+// thread pool; these are the innermost loops it calls. Their
+// per-element results depend only on the inputs (never on the range a call
+// covers), which is what makes every ParallelBackend kernel bitwise
+// independent of its chunking and thread count.
 // ---------------------------------------------------------------------------
-
-struct LeafKernels {
-  // Packed GEMM micro-kernel; see simd::MicroKernel4x8Avx2 for the contract.
-  void (*gemm_micro)(const double* ap, const double* bp, int kb, double* out,
-                     int64_t out_stride, int mr, int nr);
-  // Width of the packed B slivers gemm_micro consumes (the NR of its register
-  // tile). BlockedGemm packs B to this width, so a wider-vector kernel (the
-  // 16-wide AVX-512 tile) gets matching panels without a second packing
-  // scheme.
-  int pack_nr;
-  double (*dot)(const double* a, const double* b, int64_t n);
-  void (*axpy)(double alpha, const double* x, double* y, int64_t n);
-  void (*scale)(double alpha, double* x, int64_t n);
-  void (*hadamard)(const double* a, const double* b, double* out, int64_t n);
-  // Fused CG-step leaves; see Backend::VAxpyDot / Backend::VDotAxpy for the
-  // bitwise contracts they implement.
-  double (*axpy_dot)(double alpha, const double* x, double* y, int64_t n);
-  double (*xpay_dot)(double beta, const double* x, double* y, int64_t n);
-  // Multi-column CSR row kernel: for one output row,
-  //   out_row[j] += Σ_k (alpha·vals[k]) · x(cols[k], j),  k in CSR order.
-  // Must be bitwise equal to the per-nonzero axpy sequence
-  // (for k: axpy(alpha·vals[k], x.row(cols[k]), out_row, n)); the vector
-  // variant (simd::SpmmRow) keeps out_row columns in registers across the
-  // whole nonzero list instead of re-loading/re-storing them per nonzero —
-  // the win that widens with the fused-replay column count.
-  void (*spmm_row)(const double* vals, const int* cols, int64_t nnz, double alpha,
-                   const double* x, int64_t x_stride, double* out_row, int64_t n);
-};
 
 // Register micro-tile (MR x NR accumulators) and cache panels: an MC x KC
 // packed panel of A lives in L2, a KC x NR sliver of packed B streams from
@@ -331,12 +302,6 @@ constexpr int kNr = 8;
 constexpr int kMc = 64;
 constexpr int kKc = 256;
 constexpr int kNc = 2048;
-
-// The SIMD micro-kernels are written for exactly this A-sliver geometry (the
-// B width is per-kernel via LeafKernels::pack_nr, and kNc must stay a
-// multiple of every pack_nr in use).
-static_assert(kMr == 4, "simd micro-kernels assume 4-wide packed A slivers");
-static_assert(kNc % 16 == 0, "kNc must be a multiple of every pack_nr");
 
 // Below these sizes the naive loops win (no packing / dispatch overhead).
 constexpr int64_t kGemmSerialCutoff = 32 * 1024;   // m*n*k
@@ -381,10 +346,8 @@ void ScalarHadamard(const double* a, const double* b, double* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-// The scalar fused leaves are literally the unfused compositions — that IS
-// the bitwise definition of the fused contract, and the single-pass win only
-// materialises in the vector variants (simd::AxpyDot / simd::XpayDot), where
-// explicit intrinsics pin the per-element operations exactly.
+// The fused leaves are literally the unfused compositions: that IS the
+// bitwise definition of the fused contract (Backend::VAxpyDot/VDotAxpy).
 double ScalarAxpyDot(double alpha, const double* x, double* y, int64_t n) {
   ScalarAxpy(alpha, x, y, n);
   return ScalarDot(y, y, n);
@@ -397,19 +360,14 @@ double ScalarXpayDot(double beta, const double* x, double* y, int64_t n) {
 
 void ScalarSpmmRow(const double* vals, const int* cols, int64_t nnz, double alpha,
                    const double* x, int64_t x_stride, double* out_row, int64_t n) {
-  // Literally the repeated-ScalarAxpy sequence — the bitwise definition of
-  // the spmm_row contract.
+  // Literally the repeated-ScalarAxpy sequence over the row's nonzeros, so a
+  // row routed through here matches the per-nonzero axpy calls bit for bit.
   for (int64_t k = 0; k < nnz; ++k) {
     const double w = alpha * vals[k];
     const double* x_row = x + static_cast<size_t>(cols[k]) * x_stride;
     for (int64_t j = 0; j < n; ++j) out_row[j] += w * x_row[j];
   }
 }
-
-constexpr LeafKernels kScalarLeafKernels = {&ScalarMicroKernel, kNr, &ScalarDot,
-                                            &ScalarAxpy, &ScalarScale,
-                                            &ScalarHadamard, &ScalarAxpyDot,
-                                            &ScalarXpayDot, &ScalarSpmmRow};
 
 // Debug guard for the row-partitioned support kernels: partitioning the row
 // list across workers is only race-free because support entries are distinct
@@ -418,28 +376,6 @@ constexpr LeafKernels kScalarLeafKernels = {&ScalarMicroKernel, kNr, &ScalarDot,
 bool RowsDistinct(std::vector<int> rows) {
   std::sort(rows.begin(), rows.end());
   return std::adjacent_find(rows.begin(), rows.end()) == rows.end();
-}
-
-// AVX2+FMA leaf kernels, with the GEMM micro-kernel upgraded to the 16-wide
-// AVX-512 tile when the CPU has it (bitwise identical — one fma per element
-// per k step either way). Only called when simd::KernelsUsable() passed.
-LeafKernels SimdLeafKernels() {
-  LeafKernels kernels = kScalarLeafKernels;
-  if (simd::CpuSupportsAvx512() && !simd::Avx512DisabledByEnv()) {
-    kernels.gemm_micro = &simd::MicroKernel4x16Avx512;
-    kernels.pack_nr = 16;
-  } else {
-    kernels.gemm_micro = &simd::MicroKernel4x8Avx2;
-    kernels.pack_nr = kNr;
-  }
-  kernels.dot = &simd::VDot;
-  kernels.axpy = &simd::VAxpy;
-  kernels.scale = &simd::VScale;
-  kernels.hadamard = &simd::Hadamard;
-  kernels.axpy_dot = &simd::AxpyDot;
-  kernels.xpay_dot = &simd::XpayDot;
-  kernels.spmm_row = &simd::SpmmRow;
-  return kernels;
 }
 
 // ---------------------------------------------------------------------------
@@ -490,24 +426,17 @@ class ReferenceBackend final : public Backend {
 
 // ---------------------------------------------------------------------------
 // ParallelBackend: cache-blocked GEMM with packed operands (GEBP scheme) and
-// row-partitioned sparse/elementwise kernels on a shared thread pool. The
-// innermost loops come from a LeafKernels table so SimdBackend (below) can
-// reuse every dispatch decision with vector leaf kernels.
+// row-partitioned sparse/elementwise kernels on a shared thread pool.
 //
 // Determinism: for a fixed problem the floating-point summation order is
 // independent of the thread count — GEMM assigns each output tile to exactly
 // one thread and walks k in ascending panel order, SpMM partitions disjoint
-// rows, and reductions sum fixed-size block partials in block order. The
-// SIMD leaf kernels preserve this: their per-element results depend only on
-// the inputs (elementwise lanes and scalar tails round identically), and the
-// only vectorized reduction (dot) runs over the same fixed blocks.
+// rows, and reductions sum fixed-size block partials in block order.
 // ---------------------------------------------------------------------------
 
-class ParallelBackend : public Backend {
+class ParallelBackend final : public Backend {
  public:
-  explicit ParallelBackend(int num_threads,
-                           const LeafKernels& kernels = kScalarLeafKernels)
-      : kernels_(kernels), pool_(num_threads) {}
+  explicit ParallelBackend(int num_threads) : pool_(num_threads) {}
 
   std::string name() const override { return "parallel"; }
   int num_threads() const override { return pool_.num_threads(); }
@@ -516,8 +445,8 @@ class ParallelBackend : public Backend {
     const int m = a.rows(), k = a.cols(), n = b.cols();
     const int64_t work = static_cast<int64_t>(m) * n * k;
     if (work < kGemmSerialCutoff || n < kNr || k < 8) {
-      // The n cutoff is the scalar tile width (not pack_nr): below a full
-      // 8-wide sliver the packing overhead dominates any micro-kernel.
+      // Below a full kNr-wide sliver the packing overhead dominates the
+      // micro-kernel.
       NaiveGemm(a, b, out);
       return;
     }
@@ -575,7 +504,7 @@ class ParallelBackend : public Backend {
     const double* pb = b.data();
     double* po = out->data();
     pool_.ParallelFor(0, a.size(), kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.hadamard(pa + lo, pb + lo, po + lo, hi - lo);
+      ScalarHadamard(pa + lo, pb + lo, po + lo, hi - lo);
     });
   }
 
@@ -614,18 +543,17 @@ class ParallelBackend : public Backend {
   }
 
   double VDot(const double* a, const double* b, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.dot(a, b, n);
+    if (n < kElementwiseCutoff) return ScalarDot(a, b, n);
     // Fixed-size block partials summed in block order: the result does not
     // depend on how blocks were assigned to threads, and each block's range
-    // is a function of n alone — so the vector kernel's lane pattern inside
-    // a block is fixed too.
+    // is a function of n alone.
     const int64_t num_blocks = (n + kReduceBlock - 1) / kReduceBlock;
     std::vector<double> partial(static_cast<size_t>(num_blocks), 0.0);
     pool_.ParallelFor(0, num_blocks, 4, [&](int64_t b0, int64_t b1) {
       for (int64_t blk = b0; blk < b1; ++blk) {
         const int64_t lo = blk * kReduceBlock;
         const int64_t hi = std::min(n, lo + kReduceBlock);
-        partial[static_cast<size_t>(blk)] = kernels_.dot(a + lo, b + lo, hi - lo);
+        partial[static_cast<size_t>(blk)] = ScalarDot(a + lo, b + lo, hi - lo);
       }
     });
     double s = 0.0;
@@ -635,13 +563,13 @@ class ParallelBackend : public Backend {
 
   void VAxpy(double alpha, const double* x, double* y, int64_t n) const override {
     pool_.ParallelFor(0, n, kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.axpy(alpha, x + lo, y + lo, hi - lo);
+      ScalarAxpy(alpha, x + lo, y + lo, hi - lo);
     });
   }
 
   void VScale(double alpha, double* x, int64_t n) const override {
     pool_.ParallelFor(0, n, kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.scale(alpha, x + lo, hi - lo);
+      ScalarScale(alpha, x + lo, hi - lo);
     });
   }
 
@@ -651,16 +579,16 @@ class ParallelBackend : public Backend {
   // VDot's exact fixed-block partial scheme. Net effect: one pass over y, and
   // bitwise equality with the unfused sequences at every n and thread count.
   double VAxpyDot(double alpha, const double* x, double* y, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.axpy_dot(alpha, x, y, n);
+    if (n < kElementwiseCutoff) return ScalarAxpyDot(alpha, x, y, n);
     return FusedReduce([&](int64_t lo, int64_t hi) {
-      return kernels_.axpy_dot(alpha, x + lo, y + lo, hi - lo);
+      return ScalarAxpyDot(alpha, x + lo, y + lo, hi - lo);
     }, n);
   }
 
   double VDotAxpy(double beta, const double* x, double* y, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.xpay_dot(beta, x, y, n);
+    if (n < kElementwiseCutoff) return ScalarXpayDot(beta, x, y, n);
     return FusedReduce([&](int64_t lo, int64_t hi) {
-      return kernels_.xpay_dot(beta, x + lo, y + lo, hi - lo);
+      return ScalarXpayDot(beta, x + lo, y + lo, hi - lo);
     }, n);
   }
 
@@ -682,7 +610,7 @@ class ParallelBackend : public Backend {
         const double* g_row = g.row(r);
         double* out_row = out->row(r);
         for (int j = 0; j < b.rows(); ++j) {
-          out_row[j] += kernels_.dot(g_row, b.row(j), g.cols());
+          out_row[j] += ScalarDot(g_row, b.row(j), g.cols());
         }
       }
     };
@@ -709,7 +637,7 @@ class ParallelBackend : public Backend {
         for (int i = 0; i < a.cols(); ++i) {
           const double ari = a_row[i];
           if (ari == 0.0) continue;
-          kernels_.axpy(ari, g_row, out->row(i) + j_lo, len);
+          ScalarAxpy(ari, g_row, out->row(i) + j_lo, len);
         }
       }
     };
@@ -744,15 +672,15 @@ class ParallelBackend : public Backend {
           // multi-column leaf (bitwise the per-nonzero axpy sequence).
           const int64_t k0 = row_ptr[r], k1 = row_ptr[r + 1];
           if (k0 < k1) {
-            kernels_.spmm_row(values.data() + k0, col_idx.data() + k0, k1 - k0,
-                              alpha, x.data(), x.cols(), out_row, n);
+            ScalarSpmmRow(values.data() + k0, col_idx.data() + k0, k1 - k0,
+                          alpha, x.data(), x.cols(), out_row, n);
           }
           continue;
         }
         for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
           const int c = col_idx[k];
           if (!x_row_nonzero[c]) continue;
-          kernels_.axpy(alpha * values[k], x.row(c), out_row, n);
+          ScalarAxpy(alpha * values[k], x.row(c), out_row, n);
         }
       }
     };
@@ -860,7 +788,7 @@ class ParallelBackend : public Backend {
           const double* g_row = g.row(r) + l * n;
           double* out_row = out->row(r) + l * kb;
           for (int j = 0; j < kb; ++j) {
-            out_row[j] += kernels_.dot(g_row, b.row(j) + l * n, n);
+            out_row[j] += ScalarDot(g_row, b.row(j) + l * n, n);
           }
         }
       }
@@ -892,9 +820,9 @@ class ParallelBackend : public Backend {
         // ari is lane-invariant and the worker's lane range [l0, l1) is a
         // contiguous column window of g/out, so the whole range collapses
         // into ONE streaming axpy per (r, i). Per-element bits are unchanged
-        // (the axpy leaves round each element independently of the call's
-        // offset/length — see simd::VAxpy), but the leaf runs lanes-times
-        // fewer times over lanes-times-longer vectors.
+        // (the axpy leaf rounds each element independently of the call's
+        // offset/length), but the leaf runs lanes-times fewer times over
+        // lanes-times-longer vectors.
         const int g0 = static_cast<int>(l0) * n;
         const int wide = static_cast<int>(l1 - l0) * n;
         for (int r : rows) {
@@ -903,7 +831,7 @@ class ParallelBackend : public Backend {
           for (int i = 0; i < ka; ++i) {
             const double ari = a_row[i];
             if (ari == 0.0) continue;
-            kernels_.axpy(ari, g_row, out->row(i) + g0, wide);
+            ScalarAxpy(ari, g_row, out->row(i) + g0, wide);
           }
         }
         return;
@@ -917,7 +845,7 @@ class ParallelBackend : public Backend {
           for (int i = 0; i < ka; ++i) {
             const double ari = a_row[i];
             if (ari == 0.0) continue;
-            kernels_.axpy(ari, g_row, out->row(i) + g0, n);
+            ScalarAxpy(ari, g_row, out->row(i) + g0, n);
           }
         }
       }
@@ -949,9 +877,8 @@ class ParallelBackend : public Backend {
   }
 
   // out(r0:r1, :) += alpha * a(r0:r1, :) * x — one contiguous row range,
-  // each row's whole nonzero list routed through the multi-column spmm_row
-  // leaf (bitwise the old per-nonzero axpy sequence; the vector variant holds
-  // the output columns in registers across the nonzeros).
+  // each row's whole nonzero list routed through the ScalarSpmmRow leaf
+  // (bitwise the per-nonzero axpy sequence).
   void SpmmRowRange(const CsrMatrix& a, const Matrix& x, double alpha, Matrix* out,
                     int64_t row_begin, int64_t row_end) const {
     const int n = x.cols();
@@ -961,8 +888,8 @@ class ParallelBackend : public Backend {
     for (int64_t r = row_begin; r < row_end; ++r) {
       const int64_t k0 = row_ptr[r], k1 = row_ptr[r + 1];
       if (k0 == k1) continue;
-      kernels_.spmm_row(values.data() + k0, col_idx.data() + k0, k1 - k0, alpha,
-                        x.data(), x.cols(), out->row(static_cast<int>(r)), n);
+      ScalarSpmmRow(values.data() + k0, col_idx.data() + k0, k1 - k0, alpha,
+                    x.data(), x.cols(), out->row(static_cast<int>(r)), n);
     }
   }
 
@@ -986,27 +913,24 @@ class ParallelBackend : public Backend {
     const int m = a.rows();
     if (m == 0 || n == 0 || k == 0) return;
 
-    // B slivers are packed to the active micro-kernel's register-tile width
-    // (8 for the scalar/AVX2 kernels, 16 for the AVX-512 tile).
-    const int nrp = kernels_.pack_nr;
     std::vector<double> bpack;
     for (int jc = 0; jc < n; jc += kNc) {
       const int nc = std::min(kNc, n - jc);
-      const int ncp = static_cast<int>(RoundUp(nc, nrp));
+      const int ncp = static_cast<int>(RoundUp(nc, kNr));
       for (int kc = 0; kc < k; kc += kKc) {
         const int kb = std::min(kKc, k - kc);
         bpack.assign(static_cast<size_t>(kb) * ncp, 0.0);
-        for (int p = 0; p < ncp / nrp; ++p) {
-          double* dst = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-          const int valid = std::min(nrp, nc - p * nrp);
+        for (int p = 0; p < ncp / kNr; ++p) {
+          double* dst = bpack.data() + static_cast<size_t>(p) * kb * kNr;
+          const int valid = std::min(kNr, nc - p * kNr);
           for (int kk = 0; kk < kb; ++kk) {
-            const double* b_row = b.row(kc + kk) + b0 + jc + p * nrp;
-            for (int j = 0; j < valid; ++j) dst[kk * nrp + j] = b_row[j];
+            const double* b_row = b.row(kc + kk) + b0 + jc + p * kNr;
+            for (int j = 0; j < valid; ++j) dst[kk * kNr + j] = b_row[j];
           }
         }
 
         const int64_t num_ic_blocks = (m + kMc - 1) / kMc;
-        const int64_t num_p_panels = ncp / nrp;
+        const int64_t num_p_panels = ncp / kNr;
         if (num_ic_blocks >= pool_.num_threads() || num_ic_blocks >= num_p_panels) {
           // Tall m: partition row blocks across threads, each packing its own
           // A panels.
@@ -1017,13 +941,13 @@ class ParallelBackend : public Backend {
               const int mc = std::min(kMc, m - ic);
               const int mcp = PackA(a, ic, mc, a0 + kc, kb, &apack);
               for (int p = 0; p < num_p_panels; ++p) {
-                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-                const int nr = std::min(nrp, nc - p * nrp);
+                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * kNr;
+                const int nr = std::min(kNr, nc - p * kNr);
                 for (int q = 0; q < mcp / kMr; ++q) {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
-                  kernels_.gemm_micro(ap, bp, kb,
-                                      out->row(ic + q * kMr) + o0 + jc + p * nrp,
-                                      out->cols(), std::min(kMr, mc - q * kMr), nr);
+                  ScalarMicroKernel(ap, bp, kb,
+                                    out->row(ic + q * kMr) + o0 + jc + p * kNr,
+                                    out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
             }
@@ -1040,13 +964,13 @@ class ParallelBackend : public Backend {
             const int mcp = PackA(a, ic, mc, a0 + kc, kb, &apack);
             pool_.ParallelFor(0, num_p_panels, 1, [&](int64_t p0, int64_t p1) {
               for (int64_t p = p0; p < p1; ++p) {
-                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-                const int nr = std::min(nrp, nc - static_cast<int>(p) * nrp);
+                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * kNr;
+                const int nr = std::min(kNr, nc - static_cast<int>(p) * kNr);
                 for (int q = 0; q < mcp / kMr; ++q) {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
-                  kernels_.gemm_micro(
+                  ScalarMicroKernel(
                       ap, bp, kb,
-                      out->row(ic + q * kMr) + o0 + jc + static_cast<int>(p) * nrp,
+                      out->row(ic + q * kMr) + o0 + jc + static_cast<int>(p) * kNr,
                       out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
@@ -1078,30 +1002,7 @@ class ParallelBackend : public Backend {
     return (v + multiple - 1) / multiple * multiple;
   }
 
-  LeafKernels kernels_;
   mutable ThreadPool pool_;
-};
-
-// ---------------------------------------------------------------------------
-// SimdBackend: the ParallelBackend dispatch layer with the AVX2/FMA leaf
-// kernels (la/simd_kernels.h) swapped in. The CPU probe and the
-// PPFR_SIMD_DISABLE escape hatch are sampled once at construction; when
-// either fails, the scalar leaf-kernel table is used instead, which makes
-// every routine fall back to the exact ParallelBackend behaviour.
-// ---------------------------------------------------------------------------
-
-class SimdBackend final : public ParallelBackend {
- public:
-  explicit SimdBackend(int num_threads)
-      : ParallelBackend(num_threads, simd::KernelsUsable() ? SimdLeafKernels()
-                                                           : kScalarLeafKernels),
-        simd_active_(simd::KernelsUsable()) {}
-
-  std::string name() const override { return "simd"; }
-  bool simd_active() const override { return simd_active_; }
-
- private:
-  const bool simd_active_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1130,21 +1031,23 @@ int g_active_threads = 0;  // requested value; 0 = hardware concurrency
 // kernels themselves (see ThreadPool::ParallelFor).
 std::once_flag g_env_init_once;
 
+// The one backend-name parser behind PPFR_LA_BACKEND and --la_backend;
+// `source` names the setting in the abort message.
+BackendKind ParseBackendKindOrDie(const std::string& value, const char* source) {
+  if (value == "reference") return BackendKind::kReference;
+  PPFR_CHECK(value == "parallel")
+      << source << " must be 'reference' or 'parallel', got '" << value << "'";
+  return BackendKind::kParallel;
+}
+
 void InitFromEnvIfNeeded() {
   std::call_once(g_env_init_once, [] {
     if (BackendSlot() != nullptr) return;  // SetActiveBackend already ran
     BackendKind kind = BackendKind::kParallel;
-    if (const char* env = std::getenv("PPFR_LA_BACKEND")) {
-      const std::string value(env);
-      if (value == "reference") {
-        kind = BackendKind::kReference;
-      } else if (value == "simd") {
-        kind = BackendKind::kSimd;
-      } else {
-        PPFR_CHECK(value == "parallel" || value.empty())
-            << "PPFR_LA_BACKEND must be 'reference', 'parallel' or 'simd', got '"
-            << value << "'";
-      }
+    // An empty PPFR_LA_BACKEND means the default, like an unset one.
+    const char* env = std::getenv("PPFR_LA_BACKEND");
+    if (env != nullptr && env[0] != '\0') {
+      kind = ParseBackendKindOrDie(env, "PPFR_LA_BACKEND");
     }
     // 0 (the default) selects one thread per core.
     const int threads = static_cast<int>(EnvInt64OrDie("PPFR_LA_THREADS", 0, 0,
@@ -1173,7 +1076,7 @@ void Backend::SpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
 
 // Base lane-blocked kernels: the serial per-lane windowed naive loops.
 // ReferenceBackend inherits these, which makes it the per-lane bitwise
-// oracle; ParallelBackend/SimdBackend override with blocked/threaded paths
+// oracle; ParallelBackend overrides them with blocked/threaded paths
 // that must match them lane for lane.
 
 void Backend::GemmLanes(const Matrix& a, const Matrix& b, Matrix* out,
@@ -1222,8 +1125,6 @@ std::string BackendKindName(BackendKind kind) {
       return "reference";
     case BackendKind::kParallel:
       return "parallel";
-    case BackendKind::kSimd:
-      return "simd";
   }
   return "unknown";
 }
@@ -1234,8 +1135,6 @@ std::unique_ptr<Backend> MakeBackend(BackendKind kind, int num_threads) {
       return std::make_unique<ReferenceBackend>();
     case BackendKind::kParallel:
       return std::make_unique<ParallelBackend>(num_threads);
-    case BackendKind::kSimd:
-      return std::make_unique<SimdBackend>(num_threads);
   }
   PPFR_CHECK(false) << "unknown backend kind";
   return nullptr;
@@ -1270,18 +1169,7 @@ void ConfigureBackendFromFlags(const Flags& flags) {
   BackendKind kind = g_active_kind;
   int threads = g_active_threads;
   if (flags.Has("la_backend")) {
-    const std::string value = flags.GetString("la_backend", "");
-    if (value == "reference") {
-      kind = BackendKind::kReference;
-    } else if (value == "parallel") {
-      kind = BackendKind::kParallel;
-    } else if (value == "simd") {
-      kind = BackendKind::kSimd;
-    } else {
-      PPFR_CHECK(false)
-          << "--la_backend must be 'reference', 'parallel' or 'simd', got '"
-          << value << "'";
-    }
+    kind = ParseBackendKindOrDie(flags.GetString("la_backend", ""), "--la_backend");
   }
   if (flags.Has("la_threads")) threads = flags.GetInt("la_threads", threads);
   // Avoid tearing down and respawning an identical thread pool when the

@@ -24,13 +24,10 @@ namespace ppfr::la {
 // Implementations:
 //   * ReferenceBackend — the original single-threaded loops, kept as the
 //     correctness oracle for tests and as the small-problem fallback.
-//   * ParallelBackend  — cache-blocked GEMM with packed operands,
-//     multi-threaded via common/thread_pool.h, and row-partitioned CSR SpMM.
-//   * SimdBackend      — the ParallelBackend dispatch/blocking layer with
-//     AVX2+FMA register micro-kernels (la/simd_kernels.h) swapped in as the
-//     leaf kernels; CPU features are probed at construction and any missing
-//     capability (or PPFR_SIMD_DISABLE=1) falls back to the scalar leaf
-//     kernels per-routine, so the binary builds and runs everywhere.
+//   * ParallelBackend  — the one production backend: cache-blocked GEMM with
+//     packed operands, multi-threaded via common/thread_pool.h, and
+//     row-partitioned CSR SpMM. Its leaf loops are plain C++ that the
+//     compiler vectorises for the build target (-march=native by default).
 //
 // Threading contract: kernels fan work out across the pool internally, but
 // must be *invoked* from a single orchestration thread at a time (the
@@ -43,10 +40,9 @@ class Backend {
 
   virtual std::string name() const = 0;
   virtual int num_threads() const { return 1; }
-  // True when this backend actually executes SIMD leaf kernels (i.e. it is a
-  // SimdBackend AND the runtime feature probe passed AND the operator did not
-  // force the fallback). Bench artifacts record this next to the timings.
-  virtual bool simd_active() const { return false; }
+  // Always false: no backend runs hand-written SIMD kernels. Kept only for
+  // the perfbench host line, which still reads it.
+  bool simd_active() const { return false; }
 
   // Dense GEMM family. `out` must be preallocated to the result shape; the
   // kernels overwrite it.
@@ -78,10 +74,9 @@ class Backend {
   // machinery (autograd GradRefPartial; see matrix.h / csr_matrix.h for the
   // shape contracts, which the free-function wrappers check). The base-class
   // implementations are the serial scalar loops — the correct choice for the
-  // small supports a per-node backward produces; ParallelBackend and
-  // SimdBackend override them with threshold-gated threading and vectorized
-  // inner loops for large supports (dense graphs), keeping the serial path
-  // as the small-support fallback.
+  // small supports a per-node backward produces; ParallelBackend overrides
+  // them with threshold-gated threading for large supports (dense graphs),
+  // keeping the serial path as the small-support fallback.
   //
   // out(r, :) += g(r, :) · bᵀ for r in rows.   g: (m,n), b: (k,n), out: (m,k).
   virtual void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
@@ -158,7 +153,7 @@ class Backend {
   virtual double VDotAxpy(double beta, const double* x, double* y, int64_t n) const;
 };
 
-enum class BackendKind { kReference, kParallel, kSimd };
+enum class BackendKind { kReference, kParallel };
 
 std::string BackendKindName(BackendKind kind);
 
@@ -167,18 +162,17 @@ std::string BackendKindName(BackendKind kind);
 std::unique_ptr<Backend> MakeBackend(BackendKind kind, int num_threads);
 
 // Process-wide active backend. On first use it is initialised from the
-// PPFR_LA_BACKEND ("reference"|"parallel"|"simd") and PPFR_LA_THREADS
-// environment variables, defaulting to the parallel backend with one thread
-// per core.
+// PPFR_LA_BACKEND ("reference"|"parallel"; empty means the default) and
+// PPFR_LA_THREADS environment variables, defaulting to the parallel backend
+// with one thread per core. Any other backend name aborts.
 Backend& ActiveBackend();
 BackendKind ActiveBackendKind();
 
 // Replaces the active backend. num_threads <= 0 selects hardware_concurrency.
 void SetActiveBackend(BackendKind kind, int num_threads = 0);
 
-// Applies --la_backend=reference|parallel|simd and --la_threads=N
-// command-line flags (bench/example binaries call this right after parsing
-// Flags).
+// Applies --la_backend=reference|parallel and --la_threads=N command-line
+// flags (bench/example binaries call this right after parsing Flags).
 void ConfigureBackendFromFlags(const Flags& flags);
 
 // Thread-local backend override, consulted by ActiveBackend() before the

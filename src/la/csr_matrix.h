@@ -57,7 +57,7 @@ class CsrMatrix {
   // Dispatches through the active backend: the autograd row-support
   // machinery usually passes the small nonzero-row support of a seeded
   // backward pass, which stays on the serial path, while large supports get
-  // threshold-gated threading and SIMD inner loops.
+  // threshold-gated threading.
   //
   // `x_row_nonzero` (sized >= x.rows(), or empty for "unknown") marks the
   // rows of x that may be nonzero; entries pointing at an unmarked row are

@@ -1,403 +1,30 @@
 #include "la/simd_kernels.h"
 
-#include <cmath>
-#include <cstdlib>
-
-#include "common/check.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PPFR_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define PPFR_SIMD_X86 0
-#endif
-
 namespace ppfr::la::simd {
 
-bool CompiledWithSimd() { return PPFR_SIMD_X86 != 0; }
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 bool CpuSupportsAvx2Fma() {
-#if PPFR_SIMD_X86
   static const bool supported = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }();
   return supported;
-#else
-  return false;
-#endif
 }
 
 bool CpuSupportsAvx512() {
-#if PPFR_SIMD_X86
   static const bool supported = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f");
   }();
   return supported;
+}
+
 #else
-  return false;
+
+bool CpuSupportsAvx2Fma() { return false; }
+bool CpuSupportsAvx512() { return false; }
+
 #endif
-}
-
-namespace {
-bool EnvFlagSet(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-}  // namespace
-
-bool DisabledByEnv() { return EnvFlagSet("PPFR_SIMD_DISABLE"); }
-
-bool Avx512DisabledByEnv() {
-  const char* env = std::getenv("PPFR_SIMD_AVX512");
-  return env != nullptr && env[0] == '0' && env[1] == '\0';
-}
-
-bool KernelsUsable() {
-  return CompiledWithSimd() && CpuSupportsAvx2Fma() && !DisabledByEnv();
-}
-
-#if PPFR_SIMD_X86
-
-#define PPFR_TARGET_AVX2 __attribute__((target("avx2,fma")))
-#define PPFR_TARGET_AVX512 __attribute__((target("avx512f")))
-
-PPFR_TARGET_AVX2
-void MicroKernel4x8Avx2(const double* ap, const double* bp, int kb,
-                        double* out, int64_t out_stride, int mr, int nr) {
-  // 4x8 accumulator block: two ymm per packed-A row, eight ymm total, plus
-  // one broadcast register and two B registers — comfortably inside the 16
-  // ymm registers. k ascends, so every out element sees one fma per k in a
-  // fixed order regardless of tiling or threading.
-  __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-  __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-  __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-  __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  for (int kk = 0; kk < kb; ++kk) {
-    const __m256d b0 = _mm256_loadu_pd(bp + static_cast<int64_t>(kk) * 8);
-    const __m256d b1 = _mm256_loadu_pd(bp + static_cast<int64_t>(kk) * 8 + 4);
-    const double* av = ap + static_cast<int64_t>(kk) * 4;
-    __m256d a = _mm256_broadcast_sd(av + 0);
-    c00 = _mm256_fmadd_pd(a, b0, c00);
-    c01 = _mm256_fmadd_pd(a, b1, c01);
-    a = _mm256_broadcast_sd(av + 1);
-    c10 = _mm256_fmadd_pd(a, b0, c10);
-    c11 = _mm256_fmadd_pd(a, b1, c11);
-    a = _mm256_broadcast_sd(av + 2);
-    c20 = _mm256_fmadd_pd(a, b0, c20);
-    c21 = _mm256_fmadd_pd(a, b1, c21);
-    a = _mm256_broadcast_sd(av + 3);
-    c30 = _mm256_fmadd_pd(a, b0, c30);
-    c31 = _mm256_fmadd_pd(a, b1, c31);
-  }
-  if (mr == 4 && nr == 8) {
-    double* r0 = out;
-    double* r1 = out + out_stride;
-    double* r2 = out + 2 * out_stride;
-    double* r3 = out + 3 * out_stride;
-    _mm256_storeu_pd(r0, _mm256_add_pd(_mm256_loadu_pd(r0), c00));
-    _mm256_storeu_pd(r0 + 4, _mm256_add_pd(_mm256_loadu_pd(r0 + 4), c01));
-    _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_loadu_pd(r1), c10));
-    _mm256_storeu_pd(r1 + 4, _mm256_add_pd(_mm256_loadu_pd(r1 + 4), c11));
-    _mm256_storeu_pd(r2, _mm256_add_pd(_mm256_loadu_pd(r2), c20));
-    _mm256_storeu_pd(r2 + 4, _mm256_add_pd(_mm256_loadu_pd(r2 + 4), c21));
-    _mm256_storeu_pd(r3, _mm256_add_pd(_mm256_loadu_pd(r3), c30));
-    _mm256_storeu_pd(r3 + 4, _mm256_add_pd(_mm256_loadu_pd(r3 + 4), c31));
-    return;
-  }
-  // Edge tile: spill the full 4x8 accumulator and add only the valid window.
-  double acc[32];
-  _mm256_storeu_pd(acc + 0, c00);
-  _mm256_storeu_pd(acc + 4, c01);
-  _mm256_storeu_pd(acc + 8, c10);
-  _mm256_storeu_pd(acc + 12, c11);
-  _mm256_storeu_pd(acc + 16, c20);
-  _mm256_storeu_pd(acc + 20, c21);
-  _mm256_storeu_pd(acc + 24, c30);
-  _mm256_storeu_pd(acc + 28, c31);
-  for (int ir = 0; ir < mr; ++ir) {
-    double* out_row = out + ir * out_stride;
-    for (int jr = 0; jr < nr; ++jr) out_row[jr] += acc[ir * 8 + jr];
-  }
-}
-
-PPFR_TARGET_AVX512
-void MicroKernel4x16Avx512(const double* ap, const double* bp, int kb,
-                           double* out, int64_t out_stride, int mr, int nr) {
-  // 4x16 tile: two zmm per packed-A row (eight accumulators), two B loads
-  // and four broadcasts per k step for eight fmas — the broadcast traffic
-  // per fma is half that of the 8-wide tile, which is what the wider packing
-  // buys. Per out element the operation sequence is identical to the AVX2
-  // kernel (one fma per k, ascending), so the variants are bitwise
-  // interchangeable.
-  __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
-  __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
-  __m512d c20 = _mm512_setzero_pd(), c21 = _mm512_setzero_pd();
-  __m512d c30 = _mm512_setzero_pd(), c31 = _mm512_setzero_pd();
-  for (int kk = 0; kk < kb; ++kk) {
-    const __m512d b0 = _mm512_loadu_pd(bp + static_cast<int64_t>(kk) * 16);
-    const __m512d b1 = _mm512_loadu_pd(bp + static_cast<int64_t>(kk) * 16 + 8);
-    const double* av = ap + static_cast<int64_t>(kk) * 4;
-    __m512d a = _mm512_set1_pd(av[0]);
-    c00 = _mm512_fmadd_pd(a, b0, c00);
-    c01 = _mm512_fmadd_pd(a, b1, c01);
-    a = _mm512_set1_pd(av[1]);
-    c10 = _mm512_fmadd_pd(a, b0, c10);
-    c11 = _mm512_fmadd_pd(a, b1, c11);
-    a = _mm512_set1_pd(av[2]);
-    c20 = _mm512_fmadd_pd(a, b0, c20);
-    c21 = _mm512_fmadd_pd(a, b1, c21);
-    a = _mm512_set1_pd(av[3]);
-    c30 = _mm512_fmadd_pd(a, b0, c30);
-    c31 = _mm512_fmadd_pd(a, b1, c31);
-  }
-  if (mr == 4 && nr == 16) {
-    double* r0 = out;
-    double* r1 = out + out_stride;
-    double* r2 = out + 2 * out_stride;
-    double* r3 = out + 3 * out_stride;
-    _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c00));
-    _mm512_storeu_pd(r0 + 8, _mm512_add_pd(_mm512_loadu_pd(r0 + 8), c01));
-    _mm512_storeu_pd(r1, _mm512_add_pd(_mm512_loadu_pd(r1), c10));
-    _mm512_storeu_pd(r1 + 8, _mm512_add_pd(_mm512_loadu_pd(r1 + 8), c11));
-    _mm512_storeu_pd(r2, _mm512_add_pd(_mm512_loadu_pd(r2), c20));
-    _mm512_storeu_pd(r2 + 8, _mm512_add_pd(_mm512_loadu_pd(r2 + 8), c21));
-    _mm512_storeu_pd(r3, _mm512_add_pd(_mm512_loadu_pd(r3), c30));
-    _mm512_storeu_pd(r3 + 8, _mm512_add_pd(_mm512_loadu_pd(r3 + 8), c31));
-    return;
-  }
-  double acc[64];
-  _mm512_storeu_pd(acc + 0, c00);
-  _mm512_storeu_pd(acc + 8, c01);
-  _mm512_storeu_pd(acc + 16, c10);
-  _mm512_storeu_pd(acc + 24, c11);
-  _mm512_storeu_pd(acc + 32, c20);
-  _mm512_storeu_pd(acc + 40, c21);
-  _mm512_storeu_pd(acc + 48, c30);
-  _mm512_storeu_pd(acc + 56, c31);
-  for (int ir = 0; ir < mr; ++ir) {
-    double* out_row = out + ir * out_stride;
-    for (int jr = 0; jr < nr; ++jr) out_row[jr] += acc[ir * 16 + jr];
-  }
-}
-
-PPFR_TARGET_AVX2
-double VDot(const double* a, const double* b, int64_t n) {
-  // Two fixed 4-wide lane accumulators (an 8-element stride pattern that
-  // depends only on n), combined lane-by-lane in a fixed order, then the
-  // scalar tail. The caller is responsible for keeping ranges fixed across
-  // thread counts (the reduce-block scheme in backend.cc).
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4),
-                           acc1);
-  }
-  if (i + 4 <= n) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
-    i += 4;
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-PPFR_TARGET_AVX2
-void VAxpy(double alpha, const double* x, double* y, int64_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  // std::fma matches the vector lanes' single rounding, so an element lands
-  // on the same bits whether a range split put it in a lane or in the tail.
-  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
-}
-
-PPFR_TARGET_AVX2
-double AxpyDot(double alpha, const double* x, double* y, int64_t n) {
-  // Fused y += alpha·x; returns yᵀy of the updated y. The update applies
-  // VAxpy's exact per-element operation (fmadd lanes, std::fma tail) and the
-  // reduction accumulates in VDot's exact pattern (two 4-wide accumulators on
-  // an 8-element stride, one optional 4-wide step into acc0, fixed lane
-  // combine, scalar tail), so the result is bitwise identical to VAxpy
-  // followed by VDot(y, y) — in one pass over y instead of three.
-  const __m256d va = _mm256_set1_pd(alpha);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d y0 =
-        _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    const __m256d y1 =
-        _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4));
-    _mm256_storeu_pd(y + i, y0);
-    _mm256_storeu_pd(y + i + 4, y1);
-    acc0 = _mm256_fmadd_pd(y0, y0, acc0);
-    acc1 = _mm256_fmadd_pd(y1, y1, acc1);
-  }
-  if (i + 4 <= n) {
-    const __m256d y0 =
-        _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    _mm256_storeu_pd(y + i, y0);
-    acc0 = _mm256_fmadd_pd(y0, y0, acc0);
-    i += 4;
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    y[i] = std::fma(alpha, x[i], y[i]);
-    s += y[i] * y[i];
-  }
-  return s;
-}
-
-PPFR_TARGET_AVX2
-double XpayDot(double beta, const double* x, double* y, int64_t n) {
-  // Fused y = x + beta·y (the CG search-direction update, single-rounded per
-  // element); returns yᵀy of the updated y in VDot's exact accumulation
-  // pattern, so VDot(y, y) afterwards reproduces the returned bits.
-  const __m256d vb = _mm256_set1_pd(beta);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d y0 =
-        _mm256_fmadd_pd(vb, _mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i));
-    const __m256d y1 =
-        _mm256_fmadd_pd(vb, _mm256_loadu_pd(y + i + 4), _mm256_loadu_pd(x + i + 4));
-    _mm256_storeu_pd(y + i, y0);
-    _mm256_storeu_pd(y + i + 4, y1);
-    acc0 = _mm256_fmadd_pd(y0, y0, acc0);
-    acc1 = _mm256_fmadd_pd(y1, y1, acc1);
-  }
-  if (i + 4 <= n) {
-    const __m256d y0 =
-        _mm256_fmadd_pd(vb, _mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, y0);
-    acc0 = _mm256_fmadd_pd(y0, y0, acc0);
-    i += 4;
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    y[i] = std::fma(beta, y[i], x[i]);
-    s += y[i] * y[i];
-  }
-  return s;
-}
-
-PPFR_TARGET_AVX2
-void SpmmRow(const double* vals, const int* cols, int64_t nnz, double alpha,
-             const double* x, int64_t x_stride, double* out_row, int64_t n) {
-  // Column-register-blocked CSR row accumulate. Each 8-wide output block
-  // lives in two ymm across the WHOLE nonzero list (load once, store once);
-  // per element the k loop applies exactly the fma chain repeated VAxpy
-  // calls would (alpha·vals[k] is the same double product every time it is
-  // recomputed, and std::fma in the tail matches the fmadd lanes), so the
-  // kernel is bitwise the per-nonzero axpy sequence.
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256d y0 = _mm256_loadu_pd(out_row + j);
-    __m256d y1 = _mm256_loadu_pd(out_row + j + 4);
-    for (int64_t k = 0; k < nnz; ++k) {
-      const __m256d w = _mm256_set1_pd(alpha * vals[k]);
-      const double* x_row = x + static_cast<size_t>(cols[k]) * x_stride;
-      y0 = _mm256_fmadd_pd(w, _mm256_loadu_pd(x_row + j), y0);
-      y1 = _mm256_fmadd_pd(w, _mm256_loadu_pd(x_row + j + 4), y1);
-    }
-    _mm256_storeu_pd(out_row + j, y0);
-    _mm256_storeu_pd(out_row + j + 4, y1);
-  }
-  if (j + 4 <= n) {
-    __m256d y0 = _mm256_loadu_pd(out_row + j);
-    for (int64_t k = 0; k < nnz; ++k) {
-      const __m256d w = _mm256_set1_pd(alpha * vals[k]);
-      const double* x_row = x + static_cast<size_t>(cols[k]) * x_stride;
-      y0 = _mm256_fmadd_pd(w, _mm256_loadu_pd(x_row + j), y0);
-    }
-    _mm256_storeu_pd(out_row + j, y0);
-    j += 4;
-  }
-  for (; j < n; ++j) {
-    double acc = out_row[j];
-    for (int64_t k = 0; k < nnz; ++k) {
-      acc = std::fma(alpha * vals[k],
-                     x[static_cast<size_t>(cols[k]) * x_stride + j], acc);
-    }
-    out_row[j] = acc;
-  }
-}
-
-PPFR_TARGET_AVX2
-void VScale(double alpha, double* x, int64_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(va, _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-PPFR_TARGET_AVX2
-void Hadamard(const double* a, const double* b, double* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-#else  // !PPFR_SIMD_X86
-
-// Aborting stubs: KernelsUsable() is false on these builds, so reaching one
-// of these means a dispatch-layer bug, not a platform limitation.
-void MicroKernel4x8Avx2(const double*, const double*, int, double*, int64_t, int,
-                        int) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-void MicroKernel4x16Avx512(const double*, const double*, int, double*, int64_t, int,
-                           int) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-double VDot(const double*, const double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-  return 0.0;
-}
-void VAxpy(double, const double*, double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-double AxpyDot(double, const double*, double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-  return 0.0;
-}
-double XpayDot(double, const double*, double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-  return 0.0;
-}
-void SpmmRow(const double*, const int*, int64_t, double, const double*, int64_t,
-             double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-void VScale(double, double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-void Hadamard(const double*, const double*, double*, int64_t) {
-  PPFR_CHECK(false) << "SIMD kernels are not compiled into this build";
-}
-
-#endif  // PPFR_SIMD_X86
 
 }  // namespace ppfr::la::simd

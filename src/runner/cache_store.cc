@@ -88,13 +88,10 @@ CacheStore::CacheStore(std::string dir) : dir_(std::move(dir)) {
 }
 
 std::string CacheStore::Fingerprint() {
-  const la::Backend& backend = la::ActiveBackend();
   std::string fp = "v";
   fp += std::to_string(kFormatVersion);
   fp += "|backend=";
-  fp += backend.name();
-  fp += "|simd=";
-  fp += backend.simd_active() ? "1" : "0";
+  fp += la::ActiveBackend().name();
   return fp;
 }
 

@@ -20,8 +20,8 @@ namespace ppfr::runner {
 //    checked and rename(2)d into place — a concurrent reader sees either
 //    the old entry or the complete new one, never a torn file.
 //  * Every entry carries a magic/format-version header, the producing
-//    build's fingerprint (serialization version + active la::Backend kind +
-//    SIMD state — backends are bitwise-deterministic internally but NOT
+//    build's fingerprint (serialization version + active la::Backend kind —
+//    backends are bitwise-deterministic internally but NOT
 //    bitwise-equal to each other, so mixing them through one cache would
 //    silently break the "identical to a cold run" guarantee), the entry's
 //    own key, and an FNV-1a checksum of the payload.
@@ -143,7 +143,7 @@ class CacheStore {
   // the preflight can probe its writability before a sweep trains.
   std::string IndexPath() const;
 
-  // "<serialize version>|backend=<kind>|simd=<0/1>" of the calling process.
+  // "<serialize version>|backend=<kind>" of the calling process.
   static std::string Fingerprint();
 
   // Path of the entry file for (stage, key) — exposed for the corruption

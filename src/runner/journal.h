@@ -40,8 +40,8 @@ struct JournalRecord {
 // failure modes recover, never crash):
 //  * The file is a sequence of frames [u32 body_len][u64 fnv1a(body)][body].
 //    Frame 0's body is the header: journal magic, format version, the
-//    CacheStore fingerprint (serialization version + backend kind + SIMD
-//    state — results are only bitwise comparable within one fingerprint),
+//    CacheStore fingerprint (serialization version + backend kind —
+//    results are only bitwise comparable within one fingerprint),
 //    the sweep name and the env seed. Every later body is one JournalRecord.
 //  * Appends write a complete frame and flush. A crash mid-append leaves a
 //    torn tail frame; replay parses the longest valid prefix, drops the

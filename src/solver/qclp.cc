@@ -201,7 +201,28 @@ class DualSolver {
         slack_b = slack_x;
       }
     }
-    for (size_t i = 0; i < n_; ++i) out->w[i] = w_b[i] + theta * (w_a[i] - w_b[i]);
+    auto blend = [&](double t) {
+      for (size_t i = 0; i < n_; ++i) out->w[i] = w_b[i] + t * (w_a[i] - w_b[i]);
+    };
+    blend(theta);
+    if (Dot(u, out->w) > b) {
+      // The blend can miss uᵀw <= b by a rounding error, e.g. where it
+      // cancels to about 0. θ = 0 gives w_b, which is inside: bisect θ down
+      // to the largest blend found inside. Both ends are optimal at λ, so
+      // every blend between them is too.
+      double lo = 0.0, hi = theta;
+      for (int step = 0; step < kMaxBracketSteps; ++step) {
+        const double mid = 0.5 * (lo + hi);
+        if (!(mid > lo && mid < hi)) break;
+        blend(mid);
+        if (Dot(u, out->w) <= b) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      blend(lo);
+    }
     // w lies on the optimal face at λ, where every LP-optimal sum multiplier
     // certifies every optimal point: take the vertex's.
     Shift(lambda);

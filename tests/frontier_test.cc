@@ -132,7 +132,6 @@ TEST(FrontierSweepTest, BitwiseMatchesPerNodePathPerChunkOnAllBackends) {
   const std::vector<std::pair<la::BackendKind, int>> backends = {
       {la::BackendKind::kReference, 1},
       {la::BackendKind::kParallel, 3},
-      {la::BackendKind::kSimd, 2},
   };
   for (const auto& [kind, threads] : backends) {
     la::ScopedBackend scoped(kind, threads);

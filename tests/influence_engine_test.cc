@@ -187,8 +187,7 @@ TEST(GatherRowsSupportTest, SparseSeedEqualsDenseSeedBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, TapePoolBitwise,
                          ::testing::Values(la::BackendKind::kReference,
-                                           la::BackendKind::kParallel,
-                                           la::BackendKind::kSimd),
+                                           la::BackendKind::kParallel),
                          [](const ::testing::TestParamInfo<la::BackendKind>& info) {
                            return la::BackendKindName(info.param);
                          });
@@ -723,8 +722,7 @@ TEST(BlockInfluenceTest, FixedBlockIsBitwiseInvariantAcrossLaneCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BlockCgBackend,
                          ::testing::Values(la::BackendKind::kReference,
-                                           la::BackendKind::kParallel,
-                                           la::BackendKind::kSimd),
+                                           la::BackendKind::kParallel),
                          [](const ::testing::TestParamInfo<la::BackendKind>& info) {
                            return la::BackendKindName(info.param);
                          });
@@ -902,7 +900,7 @@ TEST(FusedReplayTest, FusedGradsMatchCentralDifferencesOfTheLoss) {
   // Gradient correctness, not just parity: at each probe point the fused
   // width-8 gradient must reproduce directional central differences of the
   // training loss evaluated from scratch.
-  la::ScopedBackend scoped(la::BackendKind::kSimd, 2);
+  la::ScopedBackend scoped(la::BackendKind::kParallel, 2);
   EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/59);
   const std::vector<double> theta0 = FlattenValues(fx.model->Params());
   const auto points = ProbePoints(theta0, /*count=*/3, /*seed=*/73);
@@ -954,8 +952,7 @@ TEST(FusedReplayTest, FusedGradsMatchCentralDifferencesOfTheLoss) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, FusedReplayBitwise,
     ::testing::Combine(::testing::Values(la::BackendKind::kReference,
-                                         la::BackendKind::kParallel,
-                                         la::BackendKind::kSimd),
+                                         la::BackendKind::kParallel),
                        ::testing::Values(nn::ModelKind::kGcn, nn::ModelKind::kGat,
                                          nn::ModelKind::kGraphSage)),
     [](const ::testing::TestParamInfo<FusedReplayBitwise::ParamType>& info) {

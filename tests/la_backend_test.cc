@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <optional>
@@ -13,11 +14,11 @@
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "la/csr_matrix.h"
 #include "la/matrix.h"
-#include "la/simd_kernels.h"
 #include "test_util.h"
 
 namespace ppfr::la {
@@ -25,19 +26,8 @@ namespace {
 
 using ::ppfr::testing::RandomMatrix;
 
+// The parallel backend must reproduce the reference oracle within kTol.
 constexpr double kTol = 1e-12;
-// The SIMD kernels contract multiplies and adds into fmas and reduce over
-// vector lanes, so they are a few ulps away from the scalar oracle rather
-// than bitwise on it; they must still be bitwise deterministic across thread
-// counts (asserted below).
-constexpr double kSimdTol = 1e-10;
-
-// Backends that must reproduce the reference oracle, with their tolerance.
-const std::vector<std::pair<BackendKind, double>>& ParityKinds() {
-  static const auto* kinds = new std::vector<std::pair<BackendKind, double>>{
-      {BackendKind::kParallel, kTol}, {BackendKind::kSimd, kSimdTol}};
-  return *kinds;
-}
 
 Matrix WithBackend(BackendKind kind, int threads,
                    const std::function<Matrix()>& compute) {
@@ -52,32 +42,27 @@ void ExpectBitwiseEqual(const Matrix& want, const Matrix& got) {
   }
 }
 
-// Checks that the parallel and simd backends reproduce the reference backend
-// for one dense computation, across thread counts 1/2/3/4 (1 exercises the
-// inline path, 3 an uneven partition, 2 and 4 the acceptance configuration)
-// — and that each backend is bitwise deterministic across those thread
-// counts.
+// Checks that the parallel backend reproduces the reference backend for one
+// dense computation, across thread counts 1/2/3/4 (1 exercises the inline
+// path, 3 an uneven partition, 2 and 4 the acceptance configuration) — and
+// that it is bitwise deterministic across those thread counts.
 void ExpectBackendParity(const std::function<Matrix()>& compute) {
   const Matrix want = WithBackend(BackendKind::kReference, 1, compute);
-  for (const auto& [kind, tol] : ParityKinds()) {
-    SCOPED_TRACE(BackendKindName(kind));
-    Matrix single_thread;
-    for (int threads : {1, 2, 3, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      const Matrix got = WithBackend(kind, threads, compute);
-      ASSERT_TRUE(got.SameShape(want));
-      EXPECT_LT(Sub(got, want).MaxAbs(), tol);
-      if (threads == 1) {
-        single_thread = got;
-      } else {
-        ExpectBitwiseEqual(single_thread, got);
-      }
+  Matrix single_thread;
+  for (int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Matrix got = WithBackend(BackendKind::kParallel, threads, compute);
+    ASSERT_TRUE(got.SameShape(want));
+    EXPECT_LT(Sub(got, want).MaxAbs(), kTol);
+    if (threads == 1) {
+      single_thread = got;
+    } else {
+      ExpectBitwiseEqual(single_thread, got);
     }
   }
 }
 
-// setenv/restore guard for the PPFR_SIMD_* escape hatches, which backends
-// sample at construction time.
+// setenv/restore guard for the PPFR_LA_* variables the active backend reads.
 class ScopedEnvVar {
  public:
   ScopedEnvVar(const char* name, const char* value) : name_(name) {
@@ -115,10 +100,45 @@ TEST(BackendEnvDeathTest, MalformedThreadCountAborts) {
   ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
+// PPFR_LA_BACKEND and --la_backend share one parser: a removed backend name
+// ("simd") and an unknown one abort on both paths, naming the valid choices.
+TEST(BackendEnvDeathTest, UnknownBackendNameAborts) {
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* name : {"simd", "fast"}) {
+    SCOPED_TRACE(name);
+    const std::string want = std::string("must be 'reference' or 'parallel', got '") +
+                             name + "'";
+    {
+      ScopedEnvVar env("PPFR_LA_BACKEND", name);
+      EXPECT_DEATH((void)ActiveBackend(), "PPFR_LA_BACKEND " + want);
+    }
+    std::string prog = "la_backend_test";
+    std::string flag = std::string("--la_backend=") + name;
+    char* argv[] = {prog.data(), flag.data()};
+    const Flags flags(2, argv);
+    EXPECT_DEATH(ConfigureBackendFromFlags(flags), "--la_backend " + want);
+  }
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
+// An empty PPFR_LA_BACKEND means the default backend, like an unset one.
+TEST(BackendEnvDeathTest, EmptyBackendNameSelectsParallel) {
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScopedEnvVar env("PPFR_LA_BACKEND", "");
+  EXPECT_EXIT(
+      {
+        std::fprintf(stderr, "active=%s\n", ActiveBackend().name().c_str());
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "active=parallel");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
 TEST(BackendRegistryTest, KindNamesAndScopedSwap) {
   EXPECT_EQ(BackendKindName(BackendKind::kReference), "reference");
   EXPECT_EQ(BackendKindName(BackendKind::kParallel), "parallel");
-  EXPECT_EQ(BackendKindName(BackendKind::kSimd), "simd");
   const BackendKind before = ActiveBackendKind();
   {
     ScopedBackend scoped(BackendKind::kReference, 1);
@@ -131,17 +151,11 @@ TEST(BackendRegistryTest, KindNamesAndScopedSwap) {
 TEST(BackendRegistryTest, MakeBackendStandaloneInstances) {
   const auto ref = MakeBackend(BackendKind::kReference, 1);
   const auto par = MakeBackend(BackendKind::kParallel, 2);
-  const auto simd_be = MakeBackend(BackendKind::kSimd, 2);
   EXPECT_EQ(ref->name(), "reference");
   EXPECT_EQ(par->name(), "parallel");
-  EXPECT_EQ(simd_be->name(), "simd");
   EXPECT_EQ(par->num_threads(), 2);
-  EXPECT_EQ(simd_be->num_threads(), 2);
   EXPECT_FALSE(ref->simd_active());
   EXPECT_FALSE(par->simd_active());
-  // The simd backend's feature detection must agree with the probe the bench
-  // artifacts record.
-  EXPECT_EQ(simd_be->simd_active(), simd::KernelsUsable());
 }
 
 // Exhaustive shape sweep over all GEMM variants, including empty dimensions.
@@ -206,18 +220,15 @@ TEST(BackendParityTest, TransposeAndElementwise) {
     ScopedBackend scoped(BackendKind::kReference, 1);
     return Dot(a, b);
   }();
-  for (const auto& [kind, tol] : ParityKinds()) {
-    SCOPED_TRACE(BackendKindName(kind));
-    std::optional<double> single_thread;
-    for (int threads : {1, 2, 3, 4}) {
-      ScopedBackend scoped(kind, threads);
-      const double got = Dot(a, b);
-      EXPECT_NEAR(got, want, tol * std::fabs(want));
-      if (!single_thread.has_value()) {
-        single_thread = got;
-      } else {
-        EXPECT_EQ(got, *single_thread) << "threads=" << threads;
-      }
+  std::optional<double> single_thread;
+  for (int threads : {1, 2, 3, 4}) {
+    ScopedBackend scoped(BackendKind::kParallel, threads);
+    const double got = Dot(a, b);
+    EXPECT_NEAR(got, want, kTol * std::fabs(want));
+    if (!single_thread.has_value()) {
+      single_thread = got;
+    } else {
+      EXPECT_EQ(got, *single_thread) << "threads=" << threads;
     }
   }
 }
@@ -311,8 +322,8 @@ TEST(CsrMatrixTest, MultiplyAccumRowsMatchesFullProductOnSubset) {
 
 // The support-guided kernels (seeded-backward row supports) now dispatch
 // through the backend: the parallel route must stay BITWISE on the serial
-// loops (same per-element order, scalar leaf kernels), the simd route within
-// tolerance and bitwise deterministic across thread counts. Supports cover
+// loops (same per-element order) and bitwise deterministic across thread
+// counts. Supports cover
 // the large case (above the threading thresholds), the empty support, a
 // single row, and 1-column shapes.
 TEST(BackendParityTest, SupportKernelRoutesMatchSerialReference) {
@@ -333,30 +344,22 @@ TEST(BackendParityTest, SupportKernelRoutesMatchSerialReference) {
     Matrix want_ta(k, n, -0.25);
     ref->GemmTransAAccumRows(a, g, &want_ta, rows);
 
-    for (const auto& [kind, tol] : ParityKinds()) {
-      SCOPED_TRACE(BackendKindName(kind));
-      Matrix tb1, ta1;
-      for (int threads : {1, 2, 3, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const auto backend = MakeBackend(kind, threads);
-        Matrix got_tb(m, k, 0.5);
-        backend->GemmTransBAccumRows(g, bmat, &got_tb, rows);
-        Matrix got_ta(k, n, -0.25);
-        backend->GemmTransAAccumRows(a, g, &got_ta, rows);
-        if (kind == BackendKind::kParallel) {
-          ExpectBitwiseEqual(want_tb, got_tb);
-          ExpectBitwiseEqual(want_ta, got_ta);
-        } else {
-          EXPECT_LT(Sub(got_tb, want_tb).MaxAbs(), tol);
-          EXPECT_LT(Sub(got_ta, want_ta).MaxAbs(), tol);
-        }
-        if (threads == 1) {
-          tb1 = got_tb;
-          ta1 = got_ta;
-        } else {
-          ExpectBitwiseEqual(tb1, got_tb);
-          ExpectBitwiseEqual(ta1, got_ta);
-        }
+    Matrix tb1, ta1;
+    for (int threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const auto backend = MakeBackend(BackendKind::kParallel, threads);
+      Matrix got_tb(m, k, 0.5);
+      backend->GemmTransBAccumRows(g, bmat, &got_tb, rows);
+      Matrix got_ta(k, n, -0.25);
+      backend->GemmTransAAccumRows(a, g, &got_ta, rows);
+      ExpectBitwiseEqual(want_tb, got_tb);
+      ExpectBitwiseEqual(want_ta, got_ta);
+      if (threads == 1) {
+        tb1 = got_tb;
+        ta1 = got_ta;
+      } else {
+        ExpectBitwiseEqual(tb1, got_tb);
+        ExpectBitwiseEqual(ta1, got_ta);
       }
     }
   }
@@ -366,11 +369,10 @@ TEST(BackendParityTest, SupportKernelRoutesMatchSerialReference) {
   const Matrix b1 = RandomMatrix(1, 1, &rng);
   Matrix want1(m, 1);
   ref->GemmTransBAccumRows(g1, b1, &want1, big_support);
-  for (const auto& [kind, tol] : ParityKinds()) {
-    Matrix got1(m, 1);
-    MakeBackend(kind, 3)->GemmTransBAccumRows(g1, b1, &got1, big_support);
-    EXPECT_LT(Sub(got1, want1).MaxAbs(), tol) << BackendKindName(kind);
-  }
+  Matrix got1(m, 1);
+  MakeBackend(BackendKind::kParallel, 3)
+      ->GemmTransBAccumRows(g1, b1, &got1, big_support);
+  EXPECT_LT(Sub(got1, want1).MaxAbs(), kTol);
 }
 
 TEST(BackendParityTest, SpmmAccumRowsRouteMatchesSerialReference) {
@@ -395,22 +397,16 @@ TEST(BackendParityTest, SpmmAccumRowsRouteMatchesSerialReference) {
       SCOPED_TRACE("support size " + std::to_string(rows.size()));
       Matrix want(nnodes, ncols, 1.0);
       ref->SpmmAccumRows(sparse, x, -0.5, &want, rows, m);
-      for (const auto& [kind, tol] : ParityKinds()) {
-        SCOPED_TRACE(BackendKindName(kind));
-        Matrix first;
-        for (int threads : {1, 2, 3, 4}) {
-          Matrix got(nnodes, ncols, 1.0);
-          MakeBackend(kind, threads)->SpmmAccumRows(sparse, x, -0.5, &got, rows, m);
-          if (kind == BackendKind::kParallel) {
-            ExpectBitwiseEqual(want, got);
-          } else {
-            EXPECT_LT(Sub(got, want).MaxAbs(), tol);
-          }
-          if (threads == 1) {
-            first = got;
-          } else {
-            ExpectBitwiseEqual(first, got);
-          }
+      Matrix first;
+      for (int threads : {1, 2, 3, 4}) {
+        Matrix got(nnodes, ncols, 1.0);
+        MakeBackend(BackendKind::kParallel, threads)
+            ->SpmmAccumRows(sparse, x, -0.5, &got, rows, m);
+        ExpectBitwiseEqual(want, got);
+        if (threads == 1) {
+          first = got;
+        } else {
+          ExpectBitwiseEqual(first, got);
         }
       }
     }
@@ -418,8 +414,7 @@ TEST(BackendParityTest, SpmmAccumRowsRouteMatchesSerialReference) {
 }
 
 TEST(BackendApplyTest, CoversRangeOnceUnderBothBackends) {
-  for (const BackendKind kind : {BackendKind::kReference, BackendKind::kParallel,
-                                 BackendKind::kSimd}) {
+  for (const BackendKind kind : {BackendKind::kReference, BackendKind::kParallel}) {
     const auto backend = MakeBackend(kind, 3);
     std::vector<std::atomic<int>> hits(50000);
     backend->Apply(50000, 1024, [&](int64_t lo, int64_t hi) {
@@ -441,32 +436,29 @@ TEST(BackendParityTest, VectorOpsMatchAcrossThreadCounts) {
   std::vector<double> want_axpy = b;
   ref->VAxpy(0.25, a.data(), want_axpy.data(), n);
 
-  for (const auto& [kind, tol] : ParityKinds()) {
-    SCOPED_TRACE(BackendKindName(kind));
-    std::optional<double> dot1;
-    std::vector<double> axpy1;
-    for (int threads : {1, 2, 3, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      const auto backend = MakeBackend(kind, threads);
-      const double got_dot = backend->VDot(a.data(), b.data(), n);
-      EXPECT_NEAR(got_dot, want_dot, tol * std::fabs(want_dot));
-      std::vector<double> got_axpy = b;
-      backend->VAxpy(0.25, a.data(), got_axpy.data(), n);
-      double max_diff = 0.0;
+  std::optional<double> dot1;
+  std::vector<double> axpy1;
+  for (int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto backend = MakeBackend(BackendKind::kParallel, threads);
+    const double got_dot = backend->VDot(a.data(), b.data(), n);
+    EXPECT_NEAR(got_dot, want_dot, kTol * std::fabs(want_dot));
+    std::vector<double> got_axpy = b;
+    backend->VAxpy(0.25, a.data(), got_axpy.data(), n);
+    double max_diff = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      max_diff = std::max(max_diff, std::fabs(got_axpy[i] - want_axpy[i]));
+    }
+    EXPECT_LT(max_diff, kTol);
+    // Bitwise determinism across thread counts.
+    if (!dot1.has_value()) {
+      dot1 = got_dot;
+      axpy1 = got_axpy;
+    } else {
+      EXPECT_EQ(got_dot, *dot1);
+      ASSERT_EQ(got_axpy.size(), axpy1.size());
       for (int64_t i = 0; i < n; ++i) {
-        max_diff = std::max(max_diff, std::fabs(got_axpy[i] - want_axpy[i]));
-      }
-      EXPECT_LT(max_diff, tol);
-      // Bitwise determinism across thread counts, including the fma'd tails.
-      if (!dot1.has_value()) {
-        dot1 = got_dot;
-        axpy1 = got_axpy;
-      } else {
-        EXPECT_EQ(got_dot, *dot1);
-        ASSERT_EQ(got_axpy.size(), axpy1.size());
-        for (int64_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got_axpy[i], axpy1[i]) << "index " << i;
-        }
+        ASSERT_EQ(got_axpy[i], axpy1[i]) << "index " << i;
       }
     }
   }
@@ -477,8 +469,7 @@ TEST(BackendParityTest, VectorOpsMatchAcrossThreadCounts) {
 //     VDot(y, y) would produce — on every backend, for every thread count.
 //   * VDotAxpy computes y = x + beta*y elementwise; a follow-up VDot(y, y)
 //     reproduces the returned bits; and the result is thread-count invariant.
-// Sizes straddle the parallel elementwise cutoff and the reduce block, with
-// ragged tails for the SIMD lane loop.
+// Sizes straddle the parallel elementwise cutoff and the reduce block.
 TEST(BackendParityTest, FusedCgKernelsHonourTheirContracts) {
   Rng rng(23);
   for (const int64_t n : {int64_t{7}, int64_t{1013}, int64_t{40003}, int64_t{100001}}) {
@@ -487,9 +478,7 @@ TEST(BackendParityTest, FusedCgKernelsHonourTheirContracts) {
     for (auto& v : x) v = rng.Normal();
     for (auto& v : y0) v = rng.Normal();
 
-    for (BackendKind kind :
-         {BackendKind::kReference, BackendKind::kParallel, BackendKind::kSimd}) {
-      SCOPED_TRACE(BackendKindName(kind));
+    for (BackendKind kind : {BackendKind::kReference, BackendKind::kParallel}) {
       std::optional<double> axpy_dot1;
       std::vector<double> axpy_y1;
       std::optional<double> xpay_dot1;
@@ -537,86 +526,6 @@ TEST(BackendParityTest, FusedCgKernelsHonourTheirContracts) {
   }
 }
 
-// Odd/tail lengths around the 4-lane AVX2 width: n = 0..2 vector widths plus
-// ragged remainders, exercising the lane loop, the single-lane step and the
-// scalar tail of every flat kernel.
-TEST(SimdBackendTest, VectorKernelTailSizes) {
-  Rng rng(19);
-  const auto ref = MakeBackend(BackendKind::kReference, 1);
-  const auto simd_be = MakeBackend(BackendKind::kSimd, 1);
-  for (const int64_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> a(n), b(n);
-    for (auto& v : a) v = rng.Normal();
-    for (auto& v : b) v = rng.Normal();
-
-    const double want_dot = ref->VDot(a.data(), b.data(), n);
-    EXPECT_NEAR(simd_be->VDot(a.data(), b.data(), n), want_dot,
-                kSimdTol * std::max(1.0, std::fabs(want_dot)));
-
-    std::vector<double> want_y = b, got_y = b;
-    ref->VAxpy(-1.5, a.data(), want_y.data(), n);
-    simd_be->VAxpy(-1.5, a.data(), got_y.data(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(got_y[i], want_y[i], kSimdTol) << "axpy index " << i;
-    }
-
-    std::vector<double> want_x = a, got_x = a;
-    ref->VScale(0.75, want_x.data(), n);
-    simd_be->VScale(0.75, got_x.data(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got_x[i], want_x[i]) << "scale index " << i;
-    }
-  }
-}
-
-// PPFR_SIMD_DISABLE=1 must reroute every leaf kernel to the scalar set, which
-// makes the simd backend reproduce the parallel backend bit for bit.
-TEST(SimdBackendTest, ForcedFallbackMatchesParallelBitwise) {
-  ScopedEnvVar disable("PPFR_SIMD_DISABLE", "1");
-  const auto fallback = MakeBackend(BackendKind::kSimd, 3);
-  const auto par = MakeBackend(BackendKind::kParallel, 3);
-  EXPECT_FALSE(fallback->simd_active());
-  EXPECT_EQ(fallback->name(), "simd");
-
-  Rng rng(23);
-  const Matrix a = RandomMatrix(193, 300, &rng);
-  const Matrix b = RandomMatrix(300, 263, &rng);
-  Matrix want(193, 263), got(193, 263);
-  par->Gemm(a, b, &want);
-  fallback->Gemm(a, b, &got);
-  ExpectBitwiseEqual(want, got);
-
-  const int64_t n = 100001;
-  std::vector<double> x(n), y(n);
-  for (auto& v : x) v = rng.Normal();
-  for (auto& v : y) v = rng.Normal();
-  EXPECT_EQ(fallback->VDot(x.data(), y.data(), n), par->VDot(x.data(), y.data(), n));
-  std::vector<double> y_par = y, y_fb = y;
-  par->VAxpy(2.5, x.data(), y_par.data(), n);
-  fallback->VAxpy(2.5, x.data(), y_fb.data(), n);
-  for (int64_t i = 0; i < n; ++i) ASSERT_EQ(y_fb[i], y_par[i]) << "index " << i;
-}
-
-// The AVX2 and AVX-512 GEMM micro-kernels apply one fma per (element, k) in
-// the same order, so pinning the tile with PPFR_SIMD_AVX512=0 must not change
-// a single bit. (Skipped on hardware where only one tile can run.)
-TEST(SimdBackendTest, Avx2AndAvx512TilesBitwiseIdentical) {
-  if (!simd::KernelsUsable() || !simd::CpuSupportsAvx512()) {
-    GTEST_SKIP() << "needs a usable AVX-512 SIMD backend";
-  }
-  Rng rng(29);
-  const Matrix a = RandomMatrix(193, 300, &rng);
-  const Matrix b = RandomMatrix(300, 263, &rng);
-  Matrix wide(193, 263), narrow(193, 263);
-  MakeBackend(BackendKind::kSimd, 2)->Gemm(a, b, &wide);
-  {
-    ScopedEnvVar pin("PPFR_SIMD_AVX512", "0");
-    MakeBackend(BackendKind::kSimd, 2)->Gemm(a, b, &narrow);
-  }
-  ExpectBitwiseEqual(wide, narrow);
-}
-
 // The autograd layer must stay numerically correct under either backend:
 // grad-check ag::MatMul and ag::SpMM with each one active.
 class AutogradUnderBackend : public ::testing::TestWithParam<BackendKind> {};
@@ -653,8 +562,7 @@ TEST_P(AutogradUnderBackend, SpMMGradCheck) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, AutogradUnderBackend,
                          ::testing::Values(BackendKind::kReference,
-                                           BackendKind::kParallel,
-                                           BackendKind::kSimd),
+                                           BackendKind::kParallel),
                          [](const ::testing::TestParamInfo<BackendKind>& info) {
                            return BackendKindName(info.param);
                          });

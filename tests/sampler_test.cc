@@ -643,8 +643,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          nn::ModelKind::kGraphSage),
                        ::testing::Values(1, 2),
                        ::testing::Values(la::BackendKind::kReference,
-                                         la::BackendKind::kParallel,
-                                         la::BackendKind::kSimd)),
+                                         la::BackendKind::kParallel)),
     [](const ::testing::TestParamInfo<ParityParam>& info) {
       return nn::ModelKindName(std::get<0>(info.param)) + "_lanes" +
              std::to_string(std::get<1>(info.param)) + "_" +

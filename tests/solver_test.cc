@@ -191,9 +191,11 @@ std::vector<double> PullIntoBallAndHalfspace(const QclpProblem& p, std::vector<d
 
 // Largest KKT violation of a result's point and multipliers. Stationarity of
 // cᵀw + μ‖w‖² + λuᵀw + νΣw over the box is measured per weight relative to
-// the magnitude of its terms; complementary slackness relative to the
-// constraint's right-hand side plus the largest its left can reach over the
-// box.
+// the magnitude of its terms, plus the magnitude ν carries from the interior
+// weights it is solved from (the largest |c_j| + |2μw_j| + |λu_j| there), so
+// ν's own rounding never reads as a violation on a weight whose other terms
+// are 0. Complementary slackness is measured relative to the constraint's
+// right-hand side plus the largest its left can reach over the box.
 double KktResidual(const QclpProblem& p, const QclpResult& r) {
   const double mu = r.ball_multiplier, lambda = r.halfspace_multiplier,
                nu = r.sum_multiplier;
@@ -202,14 +204,21 @@ double KktResidual(const QclpProblem& p, const QclpResult& r) {
       (!p.zero_sum && nu != 0.0)) {
     return std::numeric_limits<double>::infinity();
   }
+  auto terms = [&](size_t i) {
+    const double u = halfspace ? p.halfspace_u[i] : 0.0;
+    return std::fabs(p.objective[i]) + std::fabs(2.0 * mu * r.w[i]) + std::fabs(lambda * u);
+  };
+  double nu_magnitude = std::fabs(nu);
+  for (size_t i = 0; p.zero_sum && i < r.w.size(); ++i) {
+    if (r.w[i] > p.box_lo && r.w[i] < p.box_hi) nu_magnitude = std::max(nu_magnitude, terms(i));
+  }
   const double corner = std::max(std::fabs(p.box_lo), std::fabs(p.box_hi));
   double worst = 0.0, norm_sq = 0.0, dot = 0.0, dot_magnitude = std::fabs(p.halfspace_offset);
   for (size_t i = 0; i < r.w.size(); ++i) {
     const double w = r.w[i];
     const double u = halfspace ? p.halfspace_u[i] : 0.0;
     const double g = p.objective[i] + 2.0 * mu * w + lambda * u + nu;
-    const double magnitude = std::fabs(p.objective[i]) + std::fabs(2.0 * mu * w) +
-                             std::fabs(lambda * u) + std::fabs(nu);
+    const double magnitude = terms(i) + nu_magnitude;
     const double violation = w <= p.box_lo   ? std::max(0.0, -g)
                              : w >= p.box_hi ? std::max(0.0, g)
                                              : std::fabs(g);
@@ -472,6 +481,39 @@ TEST(QclpTest, DegenerateHalfspacesAreCertified) {
     EXPECT_LE(Infeasibility(p, result.w), 1e-12);
     EXPECT_LE(KktResidual(p, result), 1e-12);
   }
+}
+
+TEST(QclpTest, HalfspaceBlendThatCancelsToZeroStaysInside) {
+  // The halfspace binds at w = 0, between the LP vertex −0.5 and the λ-shifted
+  // vertex 2. The blend 2 + θ·(−2.5) with θ = 0.8 rounded cancels to −1.1e-16,
+  // where uᵀw = 4.1e-13 > b: a violation of 1 relative to the terms of uᵀw,
+  // which are themselves that small.
+  QclpProblem p;
+  p.objective = {59.0};
+  p.halfspace_u = {-3706.0};
+  p.halfspace_offset = 0.0;
+  p.box_lo = -0.5;
+  p.box_hi = 2.0;
+  p.ball_radius_sq = 1.0;
+  const QclpResult result = SolveQclp(p);
+  EXPECT_LE(p.halfspace_u[0] * result.w[0], p.halfspace_offset);
+  EXPECT_LE(Infeasibility(p, result.w), 1e-12);
+  EXPECT_LE(KktResidual(p, result), 1e-12);
+}
+
+TEST(QclpTest, SumMultiplierRoundingOnAWeightWithoutTerms) {
+  // w_1 has c_1 = u_1 = 0, so its stationarity residual is ν alone. The exact
+  // ν is 0; the solver's ν (2.8e-17) carries the rounding of the terms it is
+  // solved from.
+  QclpProblem p;
+  p.objective = {-0.42, 0.0};
+  p.halfspace_u = {0.75, 0.0};
+  p.halfspace_offset = 0.25;
+  p.ball_radius_sq = 1.75;
+  p.zero_sum = true;
+  const QclpResult result = SolveQclp(p);
+  EXPECT_LE(Infeasibility(p, result.w), 1e-12);
+  EXPECT_LE(KktResidual(p, result), 1e-12);
 }
 
 TEST(QclpDeathTest, InfeasibleHalfspaceAborts) {
