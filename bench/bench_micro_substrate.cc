@@ -79,6 +79,33 @@ void BM_DenseMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatMul)->Arg(64)->Arg(128)->Arg(256);
 
+// Layer 1's projection at the CoraLike shape (1400 x 128 bag-of-words
+// features, 16 hidden units): X·W plus the weight gradient XᵀG, through the
+// dense GEMMs (arg 0) or the CSR products the models run (arg 1).
+void BM_FeatureProjection(benchmark::State& state) {
+  const nn::GraphContext& ctx = CoraLikeContext();
+  const bool sparse = state.range(0) == 1;
+  Rng rng(4);
+  la::Matrix w(ctx.feature_dim(), 16);
+  la::Matrix g(ctx.num_nodes(), 16);
+  for (int64_t i = 0; i < w.size(); ++i) w.data()[i] = rng.Normal();
+  for (int64_t i = 0; i < g.size(); ++i) g.data()[i] = rng.Normal();
+  la::Matrix xw(ctx.num_nodes(), 16);
+  const la::CsrMatrix& x = *ctx.SparseFeatures();
+  for (auto _ : state) {
+    if (sparse) {
+      la::CsrGemmLanes(x, w, &xw, 1);
+      benchmark::DoNotOptimize(la::CsrMatMulLanesTransA(x, g, 1));
+    } else {
+      la::ActiveBackend().Gemm(ctx.features, w, &xw);
+      benchmark::DoNotOptimize(la::MatMulTransA(ctx.features, g));
+    }
+    benchmark::DoNotOptimize(xw.data());
+  }
+  state.SetLabel(sparse ? "csr" : "dense");
+}
+BENCHMARK(BM_FeatureProjection)->Arg(0)->Arg(1);
+
 void BM_GcnForward(benchmark::State& state) {
   const nn::GraphContext& ctx = CoraLikeContext();
   auto model = nn::MakeModel(nn::ModelKind::kGcn, ctx.feature_dim(),

@@ -156,6 +156,28 @@ Var MatMul(Var a, Var b) {
       });
 }
 
+Var CsrMatMulLanes(const std::shared_ptr<const la::CsrMatrix>& x, Var w, int lanes,
+                   int rows) {
+  Tape* tape = CommonTape({w});
+  PPFR_CHECK(x != nullptr);
+  PPFR_CHECK_GE(rows, 0);
+  PPFR_CHECK_LE(rows, x->rows());
+  const la::Matrix& wv = w.value();
+  la::Matrix out = tape->NewValue(rows, wv.cols(), /*zero_init=*/false);
+  la::CsrGemmLanes(*x, wv, &out, lanes);
+  const bool needs = tape->NeedsGrad(w);
+  const int out_id = tape->num_nodes();
+  return MakeOp(tape, std::move(out), needs, {w},
+                [x, w, lanes, out_id](Tape& tp, const la::Matrix& g) {
+                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
+                  if (supp != nullptr) {
+                    la::CsrGemmTransAAccumRows(*x, g, &tp.GradRef(w), *supp);
+                  } else {
+                    tp.GradRef(w).Axpy(1.0, la::CsrMatMulLanesTransA(*x, g, lanes));
+                  }
+                });
+}
+
 Var MatMulLanes(Var a, Var b, int lanes) {
   if (lanes == 1) return MatMul(a, b);
   Tape* tape = CommonTape({a, b});
@@ -246,6 +268,13 @@ Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x) {
           at.MultiplyAccum(g, 1.0, &tp.GradRef(x));
         }
       });
+}
+
+Var SpMM(Tape& tape, const std::shared_ptr<const SparseOperand>& sp,
+         const la::CsrMatrix& x) {
+  la::Matrix out = tape.NewValue(sp->mat.rows(), x.cols(), /*zero_init=*/true);
+  sp->mat.MultiplySparseAccum(x, &out);
+  return tape.MakeNode(std::move(out), /*needs_grad=*/false, nullptr, {});
 }
 
 namespace {

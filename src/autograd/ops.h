@@ -40,6 +40,19 @@ struct EdgeSet {
 Var MatMul(Var a, Var b);
 // Sparse-dense product sp @ x.
 Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x);
+// sp @ x for a sparse constant x: a grad-free node on `tape`, bitwise equal
+// to SpMM over x's dense form (GraphSAGE's layer-1 neighbour mean A·X).
+Var SpMM(Tape& tape, const std::shared_ptr<const SparseOperand>& sp,
+         const la::CsrMatrix& x);
+
+// The sparse feature projection x[0:rows]·w: the leading `rows` rows of a
+// constant CSR x (layer-1 bag-of-words features) times a dense weight. `w` is
+// lane-wide with `lanes` windows, x lane-shared. Forward and weight gradient
+// are bitwise equal to MatMulLanes over x's dense leading rows (see the
+// la::CsrGemmLanes family); the gradient is a row scatter of x_r ⊗ g_r over
+// the output gradient's row support when one is known, else over all rows.
+Var CsrMatMulLanes(const std::shared_ptr<const la::CsrMatrix>& x, Var w, int lanes,
+                   int rows);
 
 // ---- Lane-blocked ops (fused multi-point tape replay) ----
 //

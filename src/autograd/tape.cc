@@ -78,21 +78,6 @@ Var Tape::Constant(la::Matrix value) {
   return Var{this, static_cast<int>(nodes_.size()) - 1};
 }
 
-Var Tape::StaticConstant(const la::Matrix& value) {
-  if (replaying_) {
-    PPFR_CHECK(!value_pending_);
-    PPFR_CHECK_LT(replay_cursor_, static_cast<int>(nodes_.size()))
-        << "replay built more nodes than were recorded";
-    Node& node = nodes_[replay_cursor_];
-    PPFR_CHECK(node.param == nullptr && !node.needs_grad)
-        << "replay structure mismatch: expected a constant";
-    PPFR_CHECK(node.value.SameShape(value));
-    // Caller contract: the data is unchanged, so the recorded copy stands.
-    return Var{this, replay_cursor_++};
-  }
-  return Constant(value);
-}
-
 Var Tape::ScalarConstant(double value) {
   la::Matrix m(1, 1);
   m(0, 0) = value;

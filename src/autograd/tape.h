@@ -129,12 +129,6 @@ class Tape {
   // A constant (no gradient flows into it).
   Var Constant(la::Matrix value);
 
-  // A constant whose referenced data the caller guarantees is IDENTICAL on
-  // every rebuild of this tape (graph features, fixed operators). Recording
-  // copies it once; a replay only validates the shape and keeps the recorded
-  // buffer, so large immutable inputs are never recopied per epoch/solve.
-  Var StaticConstant(const la::Matrix& value);
-
   // Scalar constant convenience (1x1).
   Var ScalarConstant(double value);
 

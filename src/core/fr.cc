@@ -1,7 +1,9 @@
 #include "core/fr.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "solver/qclp.h"
 
 namespace ppfr::core {
@@ -31,6 +33,19 @@ FrOutput ComputeFairnessWeights(nn::GnnModel* model, const nn::GraphContext& ctx
   const influence::BlockSolveStats& solve_stats = calculator.block_stats();
   out.cg_total_rhs = solve_stats.total_rhs;
   out.cg_unconverged = solve_stats.total_rhs - solve_stats.converged_rhs;
+  const auto all_zero = [](const std::vector<double>& v) {
+    return std::all_of(v.begin(), v.end(), [](double x) { return x == 0.0; });
+  };
+  if (all_zero(out.bias_influence) && all_zero(out.util_influence)) {
+    // Nothing to reweight by: the QCLP below returns w = 0 and FR becomes a
+    // plain fine-tune. Usually the damped Hessian was not positive definite
+    // along the first CG direction, which stops the solve at x = 0.
+    PPFR_LOG(Warning) << "FR: every bias and utility influence is exactly 0 ("
+                      << solve_stats.nonpositive_curvature_rhs << " of "
+                      << solve_stats.total_rhs
+                      << " inverse-HVP solves stopped on non-positive curvature); "
+                         "the reweighting reduces to a plain fine-tune";
+  }
 
   // Sign bookkeeping. By the implicit function theorem dθ*/dw_v = -H⁻¹∇L_v,
   // so df/dw_v = -∇fᵀH⁻¹∇L_v — which is exactly what the calculator returns

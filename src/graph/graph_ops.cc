@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -25,41 +26,50 @@ la::CsrMatrix GcnNormalizedAdjacency(const Graph& g) {
 }
 
 la::CsrMatrix MeanAggregationMatrix(const Graph& g) {
-  const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * g.num_edges());
-  for (int v = 0; v < n; ++v) {
-    const int deg = g.Degree(v);
-    if (deg == 0) continue;
-    const double w = 1.0 / deg;
-    for (int u : g.Neighbors(v)) triplets.push_back({v, u, w});
-  }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
+  // Every degree fits an unbounded fanout, so no row samples.
+  return SampledMeanAggregationMatrix(g, std::numeric_limits<int>::max(), nullptr);
 }
 
 la::CsrMatrix SampledMeanAggregationMatrix(const Graph& g, int fanout, Rng* rng) {
   PPFR_CHECK_GT(fanout, 0);
   const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> values;
   // nnz is bounded by both n·fanout and the full adjacency; the min keeps the
   // reserve sane when fanout is a "take everything" sentinel like INT_MAX.
-  triplets.reserve(static_cast<size_t>(std::min<int64_t>(
-      static_cast<int64_t>(n) * fanout, 2 * g.num_edges())));
+  const size_t max_nnz = static_cast<size_t>(
+      std::min<int64_t>(static_cast<int64_t>(n) * fanout, 2 * g.num_edges()));
+  col_idx.reserve(max_nnz);
+  values.reserve(max_nnz);
+  std::vector<int> row;
   for (int v = 0; v < n; ++v) {
     const auto nbrs = g.Neighbors(v);
     const int deg = static_cast<int>(nbrs.size());
-    if (deg == 0) continue;
+    row.clear();
+    double w = 0.0;
     if (deg <= fanout) {
-      const double w = 1.0 / deg;
-      for (int u : nbrs) triplets.push_back({v, u, w});
+      row.assign(nbrs.begin(), nbrs.end());
+      if (deg > 0) w = 1.0 / deg;
     } else {
-      const double w = 1.0 / fanout;
-      for (int idx : rng->SampleWithoutReplacement(deg, fanout)) {
-        triplets.push_back({v, nbrs[idx], w});
-      }
+      for (int idx : rng->SampleWithoutReplacement(deg, fanout)) row.push_back(nbrs[idx]);
+      w = 1.0 / fanout;
     }
+    // Only the row's own ≤ fanout ids are sorted; a repeated id sums its
+    // weights, as a triplet build would.
+    std::sort(row.begin(), row.end());
+    for (size_t k = 0; k < row.size();) {
+      double sum = 0.0;
+      size_t end = k;
+      for (; end < row.size() && row[end] == row[k]; ++end) sum += w;
+      col_idx.push_back(row[k]);
+      values.push_back(sum);
+      k = end;
+    }
+    row_ptr[static_cast<size_t>(v) + 1] = static_cast<int64_t>(col_idx.size());
   }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
+  return la::CsrMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col_idx),
+                                std::move(values));
 }
 
 }  // namespace ppfr::graph

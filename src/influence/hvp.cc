@@ -85,13 +85,19 @@ CgResult ConjugateGradientSolve(const std::vector<double>& theta,
             .Column(0);
     VecAxpy(options.damping, p, &ap);
     const double p_ap = VecDot(p, ap);
-    if (p_ap <= 0.0) break;  // numerical loss of positive-definiteness
+    if (p_ap <= 0.0) {  // numerical loss of positive-definiteness
+      result.stop = CgStop::kNonPositiveCurvature;
+      break;
+    }
     const double alpha = rs_old / p_ap;
     VecAxpy(alpha, p, &result.x);
     // Fused r -= α·Ap and rs_new = rᵀr — one pass over r instead of three.
     const double rs_new = VecAxpyDot(-alpha, ap, &r);
     rs_cur = rs_new;
-    if (std::sqrt(rs_new) / b_norm < options.tolerance) break;
+    if (std::sqrt(rs_new) / b_norm < options.tolerance) {
+      result.stop = CgStop::kConverged;
+      break;
+    }
     const double beta = rs_new / rs_old;
     // Fused p = r + β·p and ‖p‖² (feeds the next HVP's normalisation).
     p_norm_sq = VecDotAxpy(beta, r, &p);
@@ -176,6 +182,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
   result.residual_norm.assign(static_cast<size_t>(k), 0.0);
   result.iterations.assign(static_cast<size_t>(k), 0);
   result.converged.assign(static_cast<size_t>(k), false);
+  result.stop.assign(static_cast<size_t>(k), CgStop::kMaxIterations);
   if (k == 0) return result;
   PPFR_CHECK_EQ(static_cast<int64_t>(theta.size()), dim);
 
@@ -188,6 +195,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
   for (int j = 0; j < k; ++j) {
     if (b_norms_sq[static_cast<size_t>(j)] == 0.0) {
       result.converged[static_cast<size_t>(j)] = true;  // x_j = 0 exactly
+      result.stop[static_cast<size_t>(j)] = CgStop::kConverged;
       continue;
     }
     for (int u : unique) {
@@ -220,6 +228,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
       result.iterations[static_cast<size_t>(j)] = single.iterations;
       result.converged[static_cast<size_t>(j)] =
           single.residual_norm / b_norm < options.tolerance;
+      result.stop[static_cast<size_t>(j)] = single.stop;
     }
     return result;
   }
@@ -253,6 +262,8 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
         std::sqrt(res_norms_sq[static_cast<size_t>(pos)]);
     result.iterations[static_cast<size_t>(orig)] = iters;
     result.converged[static_cast<size_t>(orig)] = converged;
+    result.stop[static_cast<size_t>(orig)] =
+        converged ? CgStop::kConverged : CgStop::kMaxIterations;
   };
 
   Stopwatch algebra_watch;
@@ -434,6 +445,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
       result.converged[static_cast<size_t>(col.orig)] =
           fix.residual_norm / b_norm_of[static_cast<size_t>(col.orig)] <
           options.tolerance;
+      result.stop[static_cast<size_t>(col.orig)] = fix.stop;
     }
   }
   result.stats.block_iterations = iter;
@@ -451,6 +463,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<double>& theta,
         result.iterations[static_cast<size_t>(rep)];
     result.converged[static_cast<size_t>(j)] =
         result.converged[static_cast<size_t>(rep)];
+    result.stop[static_cast<size_t>(j)] = result.stop[static_cast<size_t>(rep)];
   }
   return result;
 }

@@ -39,10 +39,21 @@ struct CgOptions {
   double hvp_step = 1e-4;
 };
 
+// Why a CG solve (or one column of a block solve) stopped.
+enum class CgStop {
+  kConverged,      // relative residual below the tolerance
+  kMaxIterations,  // iteration budget spent first
+  // pᵀ(H + λI)p <= 0 along a search direction: the damped finite-difference
+  // Hessian is not positive definite there, so the solve keeps its current
+  // iterate — x = 0 when this happens at the first iteration.
+  kNonPositiveCurvature,
+};
+
 struct CgResult {
   std::vector<double> x;
   double residual_norm = 0.0;
   int iterations = 0;
+  CgStop stop = CgStop::kMaxIterations;
 };
 
 // Damped conjugate-gradient solve of (H + λI) x = b with implicit H via
@@ -70,6 +81,7 @@ struct BlockCgResult {
   std::vector<double> residual_norm;  // absolute ‖r_j‖ at exit
   std::vector<int> iterations;        // block iterations when column j froze
   std::vector<bool> converged;        // per-RHS relative-residual verdict
+  std::vector<CgStop> stop;           // per-RHS stop reason
   BlockCgStats stats;
 };
 

@@ -18,7 +18,7 @@ namespace ppfr::influence {
 // gathered once: the input every node-local influence forward replays.
 struct BlockInput {
   nn::Block block;
-  la::Matrix features;  // ctx.features rows at block.frontier
+  std::shared_ptr<const la::CsrMatrix> features;  // ctx.features at block.frontier
 };
 
 namespace {
@@ -28,21 +28,15 @@ std::shared_ptr<const BlockInput> MakeBlockInput(const nn::GraphContext& ctx,
                                                  const std::vector<int>& outputs) {
   auto input = std::make_shared<BlockInput>();
   input->block = ctx.ExactBlock(kind, outputs);
-  const std::vector<int>& frontier = input->block.frontier;
-  input->features = la::Matrix(static_cast<int>(frontier.size()), ctx.feature_dim());
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const double* src = ctx.features.row(frontier[i]);
-    std::copy(src, src + ctx.feature_dim(), input->features.row(static_cast<int>(i)));
-  }
+  input->features = std::make_shared<const la::CsrMatrix>(
+      la::CsrMatrix::FromDenseRows(ctx.features, input->block.frontier));
   return input;
 }
 
-// Logits over the block's outputs; the features enter as a static constant,
-// so replays never recopy them.
+// Logits over the block's outputs; the features are shared by every replay.
 ag::Var BlockLogits(nn::GnnModel* model, ag::Tape& tape, const BlockInput& input,
                     int replay_lanes) {
-  return model->ForwardBlock(tape, input.block, tape.StaticConstant(input.features),
-                             replay_lanes);
+  return model->ForwardBlock(tape, input.block, input.features, replay_lanes);
 }
 
 }  // namespace
@@ -279,6 +273,9 @@ MultiVector InfluenceCalculator::SolveRhsBlock(const MultiVector& b) {
     for (int j = begin; j < end; ++j) {
       solution.SetColumn(j, chunk.x.Column(j - begin));
       if (chunk.converged[static_cast<size_t>(j - begin)]) ++block_stats_.converged_rhs;
+      if (chunk.stop[static_cast<size_t>(j - begin)] == CgStop::kNonPositiveCurvature) {
+        ++block_stats_.nonpositive_curvature_rhs;
+      }
     }
     ++block_stats_.solves;
     block_stats_.block_iterations += chunk.stats.block_iterations;

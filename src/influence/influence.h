@@ -77,6 +77,8 @@ struct BlockSolveStats {
   int grad_evals = 0;        // probe-point gradient evaluations
   int total_rhs = 0;         // RHS columns handled
   int converged_rhs = 0;     // columns meeting the relative-residual tolerance
+  // Columns whose solve stopped on non-positive curvature (CgStop).
+  int nonpositive_curvature_rhs = 0;
   double algebra_seconds = 0.0;  // wall time in block GEMM/fused kernels
   double algebra_flops = 0.0;    // ≈ flops issued to those kernels
 

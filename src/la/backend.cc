@@ -309,6 +309,15 @@ constexpr int64_t kElementwiseCutoff = 32 * 1024;  // flat elements
 constexpr int64_t kSpmmWorkCutoff = 32 * 1024;     // nnz * x.cols()
 constexpr int64_t kReduceBlock = 4096;             // deterministic partial sums
 
+// The one naive-vs-blocked dispatch rule of the ParallelBackend GEMM family,
+// on the per-lane problem shape: an output of rows x cols whose elements each
+// contract over `inner` terms. Below a full kNr-wide sliver, an 8-deep
+// contraction or the serial cutoff, packing overhead dominates and the naive
+// loops run instead.
+bool GemmBlocked(int64_t rows, int64_t cols, int64_t inner) {
+  return rows * cols * inner >= kGemmSerialCutoff && cols >= kNr && inner >= 8;
+}
+
 void ScalarMicroKernel(const double* ap, const double* bp, int kb, double* out,
                        int64_t out_stride, int mr, int nr) {
   // The kMr*kNr accumulators live in registers; the jr loop is the SIMD
@@ -441,12 +450,12 @@ class ParallelBackend final : public Backend {
   std::string name() const override { return "parallel"; }
   int num_threads() const override { return pool_.num_threads(); }
 
+  int GemmKPanel(int64_t rows, int64_t cols, int64_t inner) const override {
+    return GemmBlocked(rows, cols, inner) ? kKc : 0;
+  }
+
   void Gemm(const Matrix& a, const Matrix& b, Matrix* out) const override {
-    const int m = a.rows(), k = a.cols(), n = b.cols();
-    const int64_t work = static_cast<int64_t>(m) * n * k;
-    if (work < kGemmSerialCutoff || n < kNr || k < 8) {
-      // Below a full kNr-wide sliver the packing overhead dominates the
-      // micro-kernel.
+    if (!GemmBlocked(a.rows(), b.cols(), a.cols())) {
       NaiveGemm(a, b, out);
       return;
     }
@@ -454,8 +463,7 @@ class ParallelBackend final : public Backend {
   }
 
   void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out) const override {
-    const int64_t work = static_cast<int64_t>(a.cols()) * b.cols() * a.rows();
-    if (work < kGemmSerialCutoff || b.cols() < kNr || a.rows() < 8) {
+    if (!GemmBlocked(a.cols(), b.cols(), a.rows())) {
       NaiveGemmTransA(a, b, out);
       return;
     }
@@ -467,8 +475,7 @@ class ParallelBackend final : public Backend {
   }
 
   void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) const override {
-    const int64_t work = static_cast<int64_t>(a.rows()) * b.rows() * a.cols();
-    if (work < kGemmSerialCutoff || b.rows() < kNr || a.cols() < 8) {
+    if (!GemmBlocked(a.rows(), b.rows(), a.cols())) {
       NaiveGemmTransB(a, b, out);
       return;
     }
@@ -711,8 +718,7 @@ class ParallelBackend final : public Backend {
     const int n = b.cols() / lanes;
     const bool a_shared = a.cols() == b.rows();
     const int k = a_shared ? a.cols() : a.cols() / lanes;
-    const int64_t work = static_cast<int64_t>(a.rows()) * n * k;
-    if (work < kGemmSerialCutoff || n < kNr || k < 8) {
+    if (!GemmBlocked(a.rows(), n, k)) {
       NaiveGemmLanes(a, b, out, lanes);
       return;
     }
@@ -732,8 +738,7 @@ class ParallelBackend final : public Backend {
     const int ka = out->rows();
     const bool a_shared = a.cols() == ka;
     const int m = a.rows();
-    const int64_t work = static_cast<int64_t>(ka) * n * m;
-    if (work < kGemmSerialCutoff || n < kNr || m < 8) {
+    if (!GemmBlocked(ka, n, m)) {
       NaiveGemmLanesTransA(a, b, out, lanes);
       return;
     }
@@ -758,8 +763,7 @@ class ParallelBackend final : public Backend {
                        int lanes) const override {
     const int n = a.cols() / lanes;
     const int kb = b.rows();
-    const int64_t work = static_cast<int64_t>(a.rows()) * kb * n;
-    if (work < kGemmSerialCutoff || kb < kNr || n < 8) {
+    if (!GemmBlocked(a.rows(), kb, n)) {
       NaiveGemmLanesTransB(a, b, out, lanes);
       return;
     }

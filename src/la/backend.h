@@ -51,6 +51,18 @@ class Backend {
   virtual void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) const = 0;  // a·bᵀ
   virtual void Transpose(const Matrix& a, Matrix* out) const = 0;
 
+  // The k-panel length in which this backend's GEMM family sums an output
+  // element of a (rows x cols per lane) result contracting over `inner`
+  // terms: terms are added in ascending k, into a partial sum that restarts
+  // from zero at every panel boundary and is then added to the element; 0
+  // means one running sum over all k. The CSR-left products in csr_matrix.h
+  // follow it, which keeps them bitwise equal to the dense GEMM on the same
+  // operands.
+  virtual int GemmKPanel(int64_t /*rows*/, int64_t /*cols*/,
+                         int64_t /*inner*/) const {
+    return 0;
+  }
+
   // Elementwise / reduction kernels on matrices.
   virtual void Hadamard(const Matrix& a, const Matrix& b, Matrix* out) const = 0;
   double Dot(const Matrix& a, const Matrix& b) const {

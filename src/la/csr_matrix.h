@@ -26,7 +26,8 @@ std::vector<int64_t> NnzBalancedRowBounds(const std::vector<int64_t>& row_ptr,
 
 // Compressed-sparse-row matrix of doubles. Used for normalised adjacency
 // operators (Â), similarity matrices S and their Laplacians — all of which
-// are multiplied against dense embedding matrices during training.
+// are multiplied against dense embedding matrices during training — and for
+// the bag-of-words features that layer 1 projects.
 class CsrMatrix {
  public:
   CsrMatrix() : rows_(0), cols_(0) {}
@@ -36,6 +37,18 @@ class CsrMatrix {
 
   // Builds from triplets; duplicate (row, col) entries are summed.
   static CsrMatrix FromTriplets(int rows, int cols, std::vector<Triplet> triplets);
+
+  // Adopts arrays that are already in CSR form: row_ptr holds rows+1
+  // non-decreasing offsets from 0 to nnz, and each row's columns are strictly
+  // ascending and in range (CHECKed). For builders that produce rows in
+  // order, so no triplet sort is needed.
+  static CsrMatrix FromCsr(int rows, int cols, std::vector<int64_t> row_ptr,
+                           std::vector<int> col_idx, std::vector<double> values);
+
+  // The nonzeros of `dense`, one scan per row: FromDenseRows keeps the listed
+  // rows (result row i is dense row rows[i]), FromDense all of them.
+  static CsrMatrix FromDenseRows(const Matrix& dense, const std::vector<int>& rows);
+  static CsrMatrix FromDense(const Matrix& dense);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -68,7 +81,14 @@ class CsrMatrix {
                          const std::vector<int>& rows,
                          const std::vector<uint8_t>& x_row_nonzero = {}) const;
 
+  // Counting transpose: one pass to size the columns, one to scatter the
+  // entries in row order (so every transposed row comes out sorted).
   CsrMatrix Transposed() const;
+
+  // out += this * x for a CSR x, bitwise equal to MultiplyAccum(x.ToDense(),
+  // 1.0, out): each output element adds this row's terms in the same order,
+  // and the skipped zeros of x only ever contribute exact zeros.
+  void MultiplySparseAccum(const CsrMatrix& x, Matrix* out) const;
 
   // Entry lookup by binary search within the row; 0.0 when absent.
   double At(int row, int col) const;
@@ -93,6 +113,24 @@ class CsrMatrix {
   // Last member: default copy/move/destroy keep the arena counters in sync.
   internal::ArenaRegistration arena_;
 };
+
+// CSR-left products behind the sparse feature projection
+// (autograd CsrMatMulLanes). `a` is a sparse left operand that is shared by
+// every lane of a lane-wide `b` / `g` (see Backend::GemmLanes), and only its
+// LEADING rows take part: out.rows() of them in CsrGemmLanes, g.rows() in
+// CsrMatMulLanesTransA. Each result is bitwise equal to the dense kernel on
+// the same leading rows of a.ToDense(): the sums follow
+// Backend::GemmKPanel, and skipped zeros only ever contribute exact zeros.
+//
+// out = a[0:m]·b, m = out->rows() — MatMulLanes(dense, b, lanes).
+void CsrGemmLanes(const CsrMatrix& a, const Matrix& b, Matrix* out, int lanes);
+// a[0:m]ᵀ·g, m = g.rows() — MatMulLanesTransA(dense, g, lanes, /*a_shared=*/true).
+Matrix CsrMatMulLanesTransA(const CsrMatrix& a, const Matrix& g, int lanes);
+// out += Σ_{r in rows} a(r, :)ᵀ ⊗ g(r, :), rows in list order —
+// GemmTransAAccumRows(dense, g, out, rows), and so also
+// GemmLanesTransAAccumRows with a lane-shared a.
+void CsrGemmTransAAccumRows(const CsrMatrix& a, const Matrix& g, Matrix* out,
+                            const std::vector<int>& rows);
 
 }  // namespace ppfr::la
 

@@ -22,27 +22,35 @@ GatConv::GatConv(int in_dim, int out_dim, int heads, uint64_t seed)
   }
 }
 
+ag::Var GatConv::HeadConcat(ag::Tape& tape, std::vector<ag::Parameter>& per_head,
+                            int lanes) {
+  std::vector<ag::Var> leaves;
+  leaves.reserve(per_head.size());
+  for (ag::Parameter& p : per_head) leaves.push_back(tape.Leaf(&p));
+  return heads_ == 1 ? leaves[0] : ag::ConcatCols(leaves, lanes);
+}
+
+ag::Var GatConv::Attend(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
+                        ag::Var projected, int lanes) {
+  ag::Var attn_left = HeadConcat(tape, attn_left_, lanes);
+  ag::Var attn_right = HeadConcat(tape, attn_right_, lanes);
+  return ag::GatAttention(projected, attn_left, attn_right, edges, lanes * heads_,
+                          kLeakySlope);
+}
+
 ag::Var GatConv::Forward(ag::Tape& tape,
                          const std::shared_ptr<const ag::EdgeSet>& edges, ag::Var x,
                          int lanes) {
-  // Per-head leaves concatenated lane by lane into [lane][head][·] columns.
-  auto head_concat = [&](std::vector<ag::Parameter>& per_head) {
-    std::vector<ag::Var> leaves;
-    leaves.reserve(per_head.size());
-    for (ag::Parameter& p : per_head) leaves.push_back(tape.Leaf(&p));
-    return heads_ == 1 ? leaves[0] : ag::ConcatCols(leaves, lanes);
-  };
-  ag::Var w = head_concat(weights_);
-  // A lane-shared, grad-free input (the features) multiplies every
-  // (lane, head) block as its own GEMM lane of width out_dim, so the GEMM
-  // dispatch sees each head's narrow shape and the bits match a per-head
-  // product; X is packed (and transposed in backward) once for all of them.
-  // A lane-wide input (a hidden layer) is projected per replay lane.
-  const bool x_shared =
-      !tape.NeedsGrad(x) && x.cols() == weights_[0].value.rows();
-  ag::Var projected = ag::MatMulLanes(x, w, x_shared ? lanes * heads_ : lanes);
-  return ag::GatAttention(projected, head_concat(attn_left_), head_concat(attn_right_),
-                          edges, lanes * heads_, kLeakySlope);
+  ag::Var w = HeadConcat(tape, weights_, lanes);
+  return Attend(tape, edges, ag::MatMulLanes(x, w, lanes), lanes);
+}
+
+ag::Var GatConv::Forward(ag::Tape& tape,
+                         const std::shared_ptr<const ag::EdgeSet>& edges,
+                         const std::shared_ptr<const la::CsrMatrix>& x, int lanes) {
+  ag::Var w = HeadConcat(tape, weights_, lanes);
+  return Attend(tape, edges, ag::CsrMatMulLanes(x, w, lanes * heads_, x->rows()),
+                lanes);
 }
 
 std::vector<ag::Parameter*> GatConv::Params() {

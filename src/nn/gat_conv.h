@@ -25,17 +25,29 @@ class GatConv {
   // a block hop's rows of it (destinations are the leading rows of `x`).
   // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward).
   // Every lane count takes one path: the per-head weights concatenate into
-  // [lane][head][d] columns, one GEMM projects all of them, and one
+  // [lane][head][d] columns, one product projects all of them, and one
   // ag::GatAttention treats the lanes·heads (lane, head) pairs as
-  // independent heads.
+  // independent heads. A lane-wide `x` (a hidden layer) is projected per
+  // replay lane.
   ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
                   ag::Var x, int lanes = 1);
+  // Layer 1: lane-shared sparse features. One CSR product multiplies every
+  // (lane, head) block as its own lane of width out_dim, so each head keeps
+  // the bits of a per-head product.
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
+                  const std::shared_ptr<const la::CsrMatrix>& x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 
   int output_dim() const { return out_dim_ * heads_; }
 
  private:
+  // Per-head leaves concatenated lane by lane into [lane][head][·] columns.
+  ag::Var HeadConcat(ag::Tape& tape, std::vector<ag::Parameter>& per_head, int lanes);
+  // The attention over `projected` ([lane][head][d] columns).
+  ag::Var Attend(ag::Tape& tape, const std::shared_ptr<const ag::EdgeSet>& edges,
+                 ag::Var projected, int lanes);
+
   int out_dim_;
   int heads_;
   std::vector<ag::Parameter> weights_;     // per head: in_dim x out_dim

@@ -22,11 +22,14 @@ class GcnConv {
   // `adj` is the propagation operator: the context's Â, or a block hop's
   // rows of it (output rows over the input frontier). `lanes` > 1 runs the
   // fused-replay lane-wide graph: weight/bias must be column-widened
-  // (nn::WidenModelParams) and `x` is lane-shared (layer 1 features) or
-  // lane-wide (a previous lane-wide layer's output). lanes == 1 is the
-  // ordinary narrow layer.
+  // (nn::WidenModelParams) and `x` is lane-wide (a previous lane-wide
+  // layer's output). lanes == 1 is the ordinary narrow layer.
   ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& adj,
                   ag::Var x, int lanes = 1);
+  // Layer 1: the same layer over lane-shared sparse features, projected by
+  // one CSR product (ag::CsrMatMulLanes).
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& adj,
+                  const std::shared_ptr<const la::CsrMatrix>& x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 

@@ -32,6 +32,14 @@ GraphContext GraphContext::Build(graph::Graph g, la::Matrix features) {
   return ctx;
 }
 
+const std::shared_ptr<const la::CsrMatrix>& GraphContext::SparseFeatures() const {
+  std::call_once(sparse_features_->once, [this] {
+    sparse_features_->csr =
+        std::make_shared<const la::CsrMatrix>(la::CsrMatrix::FromDense(features));
+  });
+  return sparse_features_->csr;
+}
+
 Block GraphContext::ExactBlock(ModelKind kind, const std::vector<int>& outputs) const {
   for (int v : outputs) {
     PPFR_CHECK_GE(v, 0);

@@ -2,6 +2,7 @@
 #define PPFR_NN_GRAPH_CONTEXT_H_
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -30,6 +31,11 @@ struct GraphContext {
   int num_nodes() const { return graph.num_nodes(); }
   int feature_dim() const { return features.cols(); }
 
+  // `features` in CSR form — what every model's layer 1 multiplies. Built by
+  // one row scan on the first call (thread-safe), so contexts that never run
+  // a full-graph forward never pay for it; `features` must not change after.
+  const std::shared_ptr<const la::CsrMatrix>& SparseFeatures() const;
+
   // Builds all operators from a graph + feature matrix.
   static GraphContext Build(graph::Graph g, la::Matrix features);
 
@@ -44,6 +50,15 @@ struct GraphContext {
 
   // Per-epoch sampled GraphSAGE aggregator (fanout neighbours per node).
   std::shared_ptr<const ag::SparseOperand> SampledMeanAdj(int fanout, Rng* rng) const;
+
+ private:
+  // Behind a shared_ptr so the context stays copyable and movable; copies
+  // share it along with their identical features.
+  struct LazyCsr {
+    std::once_flag once;
+    std::shared_ptr<const la::CsrMatrix> csr;
+  };
+  std::shared_ptr<LazyCsr> sparse_features_ = std::make_shared<LazyCsr>();
 };
 
 }  // namespace ppfr::nn

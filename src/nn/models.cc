@@ -20,12 +20,14 @@ std::string ModelKindName(ModelKind kind) {
   return "?";
 }
 
-void GnnModel::CheckBlock(const Block& block, ag::Var x) const {
+void GnnModel::CheckBlock(const Block& block,
+                          const std::shared_ptr<const la::CsrMatrix>& x) const {
   PPFR_CHECK(block.kind == kind())
       << ModelKindName(kind()) << " cannot run a " << ModelKindName(block.kind)
       << " block";
   PPFR_CHECK_EQ(block.hops.size(), size_t{2}) << "two-layer models need 2-hop blocks";
-  PPFR_CHECK_EQ(x.value().rows(), block.num_inputs());
+  PPFR_CHECK(x != nullptr);
+  PPFR_CHECK_EQ(x->rows(), block.num_inputs());
 }
 
 la::Matrix GnnModel::Logits(const GraphContext& ctx) {
@@ -45,12 +47,12 @@ Gcn::Gcn(int in_dim, int hidden_dim, int num_classes, uint64_t seed)
 
 ag::Var Gcn::Forward(ag::Tape& tape, const GraphContext& ctx,
                      const ForwardOptions& /*options*/) {
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(conv1_.Forward(tape, ctx.gcn_adj, x));
+  ag::Var h = ag::Relu(conv1_.Forward(tape, ctx.gcn_adj, ctx.SparseFeatures()));
   return conv2_.Forward(tape, ctx.gcn_adj, h);
 }
 
-ag::Var Gcn::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+ag::Var Gcn::ForwardBlock(ag::Tape& tape, const Block& block,
+                          const std::shared_ptr<const la::CsrMatrix>& x,
                           int replay_lanes) {
   CheckBlock(block, x);
   ag::Var h = ag::Relu(conv1_.Forward(tape, block.hops[0].agg, x, replay_lanes));
@@ -73,12 +75,12 @@ Gat::Gat(int in_dim, int hidden_dim, int num_classes, int heads, uint64_t seed)
 
 ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
                      const ForwardOptions& /*options*/) {
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Elu(conv1_.Forward(tape, ctx.edges_with_self, x));
+  ag::Var h = ag::Elu(conv1_.Forward(tape, ctx.edges_with_self, ctx.SparseFeatures()));
   return conv2_.Forward(tape, ctx.edges_with_self, h);
 }
 
-ag::Var Gat::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+ag::Var Gat::ForwardBlock(ag::Tape& tape, const Block& block,
+                          const std::shared_ptr<const la::CsrMatrix>& x,
                           int replay_lanes) {
   CheckBlock(block, x);
   ag::Var h = ag::Elu(conv1_.Forward(tape, block.hops[0].edges, x, replay_lanes));
@@ -102,12 +104,12 @@ ag::Var GraphSage::Forward(ag::Tape& tape, const GraphContext& ctx,
                            const ForwardOptions& options) {
   const auto& agg =
       options.sage_aggregator != nullptr ? options.sage_aggregator : ctx.mean_adj;
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(conv1_.Forward(tape, agg, x));
+  ag::Var h = ag::Relu(conv1_.Forward(tape, agg, ctx.SparseFeatures()));
   return conv2_.Forward(tape, agg, h);
 }
 
-ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const Block& block,
+                                const std::shared_ptr<const la::CsrMatrix>& x,
                                 int replay_lanes) {
   CheckBlock(block, x);
   ag::Var h = ag::Relu(conv1_.Forward(tape, block.hops[0].agg, x, replay_lanes));

@@ -31,7 +31,8 @@ class GnnModel {
   virtual ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                           const ForwardOptions& options) = 0;
   // Forward over a 2-hop block of this model's kind (nn/block.h): `x` holds
-  // the features of block.frontier; the result has block.num_targets() rows,
+  // the features of block.frontier as CSR rows (layer 1 projects them with
+  // one sparse product); the result has block.num_targets() rows,
   // aligned with the block's output nodes. Over an exact block
   // (GraphContext::ExactBlock) the output rows equal Forward's up to float
   // summation order. `replay_lanes` > 1 builds the lane-wide graph of the
@@ -40,7 +41,8 @@ class GnnModel {
   // (rows x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
   // and each lane is bitwise identical to a replay_lanes == 1 forward at that
   // lane's parameter point.
-  virtual ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+  virtual ag::Var ForwardBlock(ag::Tape& tape, const Block& block,
+                               const std::shared_ptr<const la::CsrMatrix>& x,
                                int replay_lanes) = 0;
   virtual std::vector<ag::Parameter*> Params() = 0;
   virtual ModelKind kind() const = 0;
@@ -57,7 +59,8 @@ class GnnModel {
 
  protected:
   // CHECKs that `block` is a 2-hop block of this model's kind over `x`.
-  void CheckBlock(const Block& block, ag::Var x) const;
+  void CheckBlock(const Block& block,
+                  const std::shared_ptr<const la::CsrMatrix>& x) const;
 };
 
 // Two-layer GCN: ReLU(Â X W1) -> Â H W2.
@@ -67,7 +70,8 @@ class Gcn final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block,
+                       const std::shared_ptr<const la::CsrMatrix>& x,
                        int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGcn; }
@@ -85,7 +89,8 @@ class Gat final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block,
+                       const std::shared_ptr<const la::CsrMatrix>& x,
                        int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGat; }
@@ -103,7 +108,8 @@ class GraphSage final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  ag::Var ForwardBlock(ag::Tape& tape, const Block& block, ag::Var x,
+  ag::Var ForwardBlock(ag::Tape& tape, const Block& block,
+                       const std::shared_ptr<const la::CsrMatrix>& x,
                        int replay_lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGraphSage; }

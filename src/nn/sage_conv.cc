@@ -37,6 +37,20 @@ ag::Var SageConv::Forward(ag::Tape& tape,
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 
+ag::Var SageConv::Forward(ag::Tape& tape,
+                          const std::shared_ptr<const ag::SparseOperand>& agg,
+                          const std::shared_ptr<const la::CsrMatrix>& x, int lanes) {
+  PPFR_CHECK(agg != nullptr);
+  const int num_out = agg->mat.rows();
+  PPFR_CHECK_LE(num_out, x->rows());
+  PPFR_CHECK_EQ(agg->mat.cols(), x->rows());
+  ag::Var self_term =
+      ag::CsrMatMulLanes(x, tape.Leaf(&weight_self_), lanes, num_out);
+  ag::Var neigh_mean = ag::SpMM(tape, agg, *x);
+  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
+  return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
+}
+
 std::vector<ag::Parameter*> SageConv::Params() {
   return {&weight_self_, &weight_neigh_, &bias_};
 }

@@ -28,6 +28,11 @@ class SageConv {
   // GcnConv::Forward).
   ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& agg,
                   ag::Var x, int lanes = 1);
+  // Layer 1 over lane-shared sparse features: the self term is one CSR
+  // product over the leading rows of `x`; the neighbour mean stays A·X (a
+  // constant, computed sparse) and then ·W_neigh, which keeps its bits.
+  ag::Var Forward(ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& agg,
+                  const std::shared_ptr<const la::CsrMatrix>& x, int lanes = 1);
 
   std::vector<ag::Parameter*> Params();
 

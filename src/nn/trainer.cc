@@ -15,6 +15,13 @@
 namespace ppfr::nn {
 namespace {
 std::atomic<int64_t> train_invocations{0};
+
+// The block frontier's feature rows, as the CSR layer 1 projects.
+std::shared_ptr<const la::CsrMatrix> GatherSparse(const SampledTrainSpec& spec,
+                                                  const Block& block) {
+  return std::make_shared<const la::CsrMatrix>(
+      la::CsrMatrix::FromDense(spec.gather_features(block.frontier)));
+}
 }  // namespace
 
 int64_t TrainInvocationCount() { return train_invocations.load(); }
@@ -141,8 +148,8 @@ TrainStats TrainSampled(GnnModel* model, const SampledTrainSpec& spec,
       // The block structure (frontier, aggregators) changes per batch, so
       // each step records a fresh tape — reuse_tape is a full-batch feature.
       ag::Tape tape;
-      ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-      ag::Var logits = model->ForwardBlock(tape, block, x, /*replay_lanes=*/1);
+      ag::Var logits =
+          model->ForwardBlock(tape, block, GatherSparse(spec, block), /*replay_lanes=*/1);
       ag::Var logp = ag::LogSoftmaxRows(logits);
       ag::Var loss = ag::WeightedNll(logp, rows, labels, weights,
                                      static_cast<double>(batch.size()));
@@ -184,8 +191,8 @@ la::Matrix SampledLogits(GnnModel* model, const SampledTrainSpec& spec,
     const std::vector<int> batch(nodes.begin() + begin, nodes.begin() + end);
     const Block block = sampler.SampleBlock(batch, 0, 0);
     ag::Tape tape;
-    ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-    ag::Var logits = model->ForwardBlock(tape, block, x, /*replay_lanes=*/1);
+    ag::Var logits =
+        model->ForwardBlock(tape, block, GatherSparse(spec, block), /*replay_lanes=*/1);
     const la::Matrix& vals = logits.value();
     if (out.rows() == 0) {
       out = la::Matrix(static_cast<int>(nodes.size()), vals.cols());

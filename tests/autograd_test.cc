@@ -267,6 +267,68 @@ TEST(GradCheckTest, SpMM) {
   EXPECT_LT(r.max_rel_error, kTol);
 }
 
+// A sparse 0/1 bag-of-words-like constant with one all-zero row.
+std::shared_ptr<const la::CsrMatrix> SparseFeatures(int rows, int cols, Rng* rng) {
+  la::Matrix dense(rows, cols);
+  for (int r = 1; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      if (rng->Bernoulli(0.3)) dense(r, c) = 1.0;
+    }
+  }
+  return std::make_shared<const la::CsrMatrix>(la::CsrMatrix::FromDense(dense));
+}
+
+TEST(GradCheckTest, CsrMatMulLanes) {
+  Rng rng(12);
+  const auto x = SparseFeatures(6, 5, &rng);
+  Parameter w = MakeParam("w", 5, 6, &rng);
+  for (const int lanes : {1, 3}) {
+    for (const int rows : {6, 4}) {  // all rows and a leading prefix
+      auto build = [&](Tape& t) {
+        return MeanAll(Square(CsrMatMulLanes(x, t.Leaf(&w), lanes, rows)));
+      };
+      const GradCheckResult r = GradCheck(build, {&w}, &rng);
+      EXPECT_LT(r.max_rel_error, kTol) << "lanes=" << lanes << " rows=" << rows;
+    }
+  }
+}
+
+// The sparse projection is the dense MatMulLanes over the same constant, bit
+// for bit: forward values, and weight gradients with and without a known
+// gradient row support.
+TEST(CsrMatMulLanesTest, BitwiseEqualToDenseMatMulLanes) {
+  Rng rng(13);
+  const auto x = SparseFeatures(300, 40, &rng);
+  const la::Matrix dense = x->ToDense();
+  for (const int lanes : {1, 4}) {
+    Parameter w = MakeParam("w", 40, 8 * lanes, &rng);
+    const la::Matrix seed = RandomMatrix(300, 8 * lanes, &rng);
+    auto grads = [&](bool sparse, bool support) {
+      w.ZeroGrad();
+      Tape t;
+      Var out = sparse ? CsrMatMulLanes(x, t.Leaf(&w), lanes, 300)
+                       : MatMulLanes(t.Constant(dense), t.Leaf(&w), lanes);
+      if (support) {
+        t.BackwardWithSparseSeed(out, {2, 7, 150}, {0, 1, 5}, {0.5, -1.0, 2.0});
+      } else {
+        t.BackwardWithSeed(out, seed);
+      }
+      return std::make_pair(out.value(), w.grad);
+    };
+    for (const bool support : {false, true}) {
+      const auto want = grads(false, support);
+      const auto got = grads(true, support);
+      for (int64_t i = 0; i < want.first.size(); ++i) {
+        ASSERT_EQ(want.first.data()[i], got.first.data()[i]);
+      }
+      for (int64_t i = 0; i < want.second.size(); ++i) {
+        ASSERT_EQ(want.second.data()[i], got.second.data()[i])
+            << "lanes=" << lanes << " support=" << support;
+      }
+    }
+  }
+}
+
 TEST(GradCheckTest, ElementwiseBinaryOps) {
   Rng rng(12);
   Parameter a = MakeParam("a", 3, 3, &rng);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/experiment.h"
 #include "core/fr.h"
 #include "core/methods.h"
 #include "core/metrics.h"
+#include "influence/influence.h"
 
 namespace ppfr::core {
 namespace {
@@ -167,6 +170,49 @@ TEST(FrTest, PredictedObjectiveIsNonPositive) {
   auto model = TrainFresh(nn::ModelKind::kGcn, env, env.ctx, cfg, 0.0);
   const FrOutput fr = ComputeFr(model.get(), env, cfg);
   EXPECT_LE(fr.objective, 1e-9);
+}
+
+// A 4-epoch CoraLike GAT is not at a minimum: the damped finite-difference
+// Hessian has negative curvature along the first CG direction of both FR
+// solves, which then stop at x = 0, so every influence is exactly 0 and FR
+// reduces to a plain fine-tune. The stop reason and a warning make that
+// visible instead of silent.
+TEST(FrTest, ZeroInfluenceFromNonPositiveCurvatureIsReported) {
+  const ExperimentEnv env = MakeEnv(data::DatasetId::kCoraLike, 1);
+  MethodConfig cfg = DefaultMethodConfig(data::DatasetId::kCoraLike, nn::ModelKind::kGat);
+  cfg.train.epochs = 4;
+  auto model = TrainFresh(nn::ModelKind::kGat, env, env.ctx, cfg, 0.0);
+
+  influence::InfluenceCalculator calc(model.get(), env.ctx, env.train_nodes(),
+                                      env.labels(), cfg.fr.influence);
+  calc.InfluenceOnFunctions(
+      {influence::InfluenceCalculator::BiasFunction(env.similarity.laplacian),
+       calc.UtilityFunction()});
+  EXPECT_EQ(calc.block_stats().total_rhs, 2);
+  EXPECT_EQ(calc.block_stats().converged_rhs, 0);
+  EXPECT_EQ(calc.block_stats().nonpositive_curvature_rhs, 2);
+
+  ::testing::internal::CaptureStderr();
+  const FrOutput fr = ComputeFr(model.get(), env, cfg);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  for (double v : fr.bias_influence) ASSERT_EQ(v, 0.0);
+  for (double v : fr.util_influence) ASSERT_EQ(v, 0.0);
+  EXPECT_EQ(fr.cg_unconverged, 2);
+  EXPECT_NE(log.find("every bias and utility influence is exactly 0 (2 of 2"),
+            std::string::npos)
+      << log;
+}
+
+TEST(FrTest, NonzeroInfluenceLogsNoWarning) {
+  const ExperimentEnv& env = SmallEnv();
+  const MethodConfig cfg = SmallConfig();
+  auto model = TrainFresh(nn::ModelKind::kGcn, env, env.ctx, cfg, 0.0);
+  ::testing::internal::CaptureStderr();
+  const FrOutput fr = ComputeFr(model.get(), env, cfg);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(std::any_of(fr.bias_influence.begin(), fr.bias_influence.end(),
+                          [](double v) { return v != 0.0; }));
+  EXPECT_EQ(log.find("influence is exactly 0"), std::string::npos) << log;
 }
 
 TEST(MethodsTest, PpfrProducesFrWeights) {

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "data/sbm.h"
+#include "data/scale_gen.h"
 #include "graph/graph.h"
 #include "graph/graph_ops.h"
 #include "graph/jaccard.h"
+#include "privacy/defense/edge_rand.h"
 #include "test_util.h"
 
 namespace ppfr::graph {
@@ -99,6 +102,68 @@ TEST(GraphOpsTest, SampledMeanAggregationRespectsFanout) {
       }
       EXPECT_NEAR(sum, 1.0, 1e-12);
     }
+  }
+}
+
+// The sampled aggregator as a sorted triplet build: the construction the
+// row-by-row builder replaced, kept as its oracle.
+la::CsrMatrix TripletSampledMean(const Graph& g, int fanout, Rng* rng) {
+  std::vector<la::Triplet> triplets;
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    const auto nbrs = g.Neighbors(v);
+    const int deg = static_cast<int>(nbrs.size());
+    if (deg == 0) continue;
+    if (deg <= fanout) {
+      for (int u : nbrs) triplets.push_back({v, u, 1.0 / deg});
+    } else {
+      for (int idx : rng->SampleWithoutReplacement(deg, fanout)) {
+        triplets.push_back({v, nbrs[idx], 1.0 / fanout});
+      }
+    }
+  }
+  return la::CsrMatrix::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(triplets));
+}
+
+void ExpectSameCsr(const la::CsrMatrix& want, const la::CsrMatrix& got) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+}
+
+TEST(GraphOpsTest, RowBuiltSampledMeanMatchesTripletRoute) {
+  // A power-law graph (hub rows far above the fanout) and an edge-DP graph
+  // (EdgeRand at ε = 1 fills in random edges, so most rows exceed it).
+  data::ScaleGraphConfig power_law;
+  power_law.num_nodes = 3000;
+  const Graph hubs = data::ScaleDataset(power_law, 4).adjacency();
+  const Graph dp_dense = privacy::EdgeRand(ppfr::testing::SmallSbm(9, 300).graph, 1.0, 2);
+  for (const Graph* g : {&hubs, &dp_dense}) {
+    for (const int fanout : {1, 5, 25, std::numeric_limits<int>::max()}) {
+      SCOPED_TRACE("nodes=" + std::to_string(g->num_nodes()) +
+                   " fanout=" + std::to_string(fanout));
+      Rng want_rng(17);
+      Rng got_rng(17);
+      ExpectSameCsr(TripletSampledMean(*g, fanout, &want_rng),
+                    SampledMeanAggregationMatrix(*g, fanout, &got_rng));
+      // Same draws consumed: the streams stay in step.
+      EXPECT_EQ(want_rng.NextU64(), got_rng.NextU64());
+    }
+    Rng unused(1);
+    ExpectSameCsr(TripletSampledMean(*g, std::numeric_limits<int>::max(), &unused),
+                  MeanAggregationMatrix(*g));
+    // The counting transpose of an aggregator equals its triplet transpose.
+    Rng rng(3);
+    const la::CsrMatrix m = SampledMeanAggregationMatrix(*g, 5, &rng);
+    std::vector<la::Triplet> swapped;
+    for (int r = 0; r < m.rows(); ++r) {
+      for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+        swapped.push_back({m.col_idx()[k], r, m.values()[k]});
+      }
+    }
+    ExpectSameCsr(la::CsrMatrix::FromTriplets(m.cols(), m.rows(), swapped),
+                  m.Transposed());
   }
 }
 

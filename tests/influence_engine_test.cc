@@ -864,12 +864,8 @@ TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
   std::sort(outputs.begin(), outputs.end());
   outputs.erase(std::unique(outputs.begin(), outputs.end()), outputs.end());
   const nn::Block block = fx.ctx.ExactBlock(model_kind(), outputs);
-  la::Matrix features(block.num_inputs(), fx.ctx.feature_dim());
-  for (int i = 0; i < block.num_inputs(); ++i) {
-    for (int c = 0; c < features.cols(); ++c) {
-      features(i, c) = fx.ctx.features(block.frontier[static_cast<size_t>(i)], c);
-    }
-  }
+  const auto features = std::make_shared<const la::CsrMatrix>(
+      la::CsrMatrix::FromDenseRows(fx.ctx.features, block.frontier));
   std::vector<int> rows;
   std::vector<int> labels;
   for (int v : fx.split.train) {
@@ -881,7 +877,7 @@ TEST_P(FusedReplayBitwise, WidthOneMatchesDirectSerialReplayBitwise) {
   ReusableLossGraph graph(
       [m, &block, &features, &rows, &labels, &ones](ag::Tape& tape) {
         ag::Var logits =
-            m->ForwardBlock(tape, block, tape.StaticConstant(features), 1);
+            m->ForwardBlock(tape, block, features, 1);
         return ag::WeightedNll(ag::LogSoftmaxRows(logits), rows, labels, ones,
                                static_cast<double>(rows.size()));
       },

@@ -413,6 +413,100 @@ TEST(BackendParityTest, SpmmAccumRowsRouteMatchesSerialReference) {
   }
 }
 
+// A dense matrix with about `density` of its entries ~ N(0, 1) (general
+// values, not just the 0/1 of bag-of-words features), one all-zero row and
+// one all-zero column.
+Matrix SparseDense(int rows, int cols, double density, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      if (r != rows / 2 && c != cols / 3 && rng->Bernoulli(density)) {
+        m(r, c) = rng->Normal();
+      }
+    }
+  }
+  return m;
+}
+
+Matrix LeadingRows(const Matrix& m, int rows) {
+  Matrix out(rows, m.cols());
+  for (int r = 0; r < rows; ++r) std::copy(m.row(r), m.row(r) + m.cols(), out.row(r));
+  return out;
+}
+
+// The CSR-left products of the sparse feature projection reproduce the dense
+// GEMM family bit for bit, on both backends and any thread count: shapes
+// below take the naive path, the blocked path with one k-panel and the
+// blocked path with several (k or m above 256), narrow and in the GAT
+// [lane][head][d] layout (lanes·heads windows of width d).
+TEST(CsrLeftProductTest, BitwiseEqualToDenseGemmFamily) {
+  struct Shape {
+    int m, k, n, lanes;
+  };
+  const std::vector<Shape> shapes = {{5, 7, 3, 1},     {40, 24, 16, 1},
+                                     {300, 128, 16, 1}, {300, 128, 32, 4},
+                                     {600, 300, 16, 1}, {700, 96, 48, 6},
+                                     {300, 64, 12, 3}};
+  const std::vector<std::pair<BackendKind, int>> backends = {
+      {BackendKind::kReference, 1}, {BackendKind::kParallel, 1},
+      {BackendKind::kParallel, 3}};
+  Rng rng(31);
+  for (const Shape& sh : shapes) {
+    const Matrix dense = SparseDense(sh.m, sh.k, 0.07, &rng);
+    const CsrMatrix csr = CsrMatrix::FromDense(dense);
+    const Matrix b = RandomMatrix(sh.k, sh.n, &rng);
+    const Matrix g = RandomMatrix(sh.m, sh.n, &rng);
+    const std::vector<int> support = {0, 3, sh.m / 2, sh.m - 1};
+    const Matrix start = RandomMatrix(sh.k, sh.n, &rng);
+    for (const auto& [kind, threads] : backends) {
+      SCOPED_TRACE("m=" + std::to_string(sh.m) + " k=" + std::to_string(sh.k) +
+                   " n=" + std::to_string(sh.n) + " lanes=" + std::to_string(sh.lanes) +
+                   " " + BackendKindName(kind) + "x" + std::to_string(threads));
+      ScopedBackend scoped(kind, threads);
+      for (const int rows : {sh.m, sh.m / 2}) {
+        Matrix got(rows, sh.n);
+        CsrGemmLanes(csr, b, &got, sh.lanes);
+        ExpectBitwiseEqual(MatMulLanes(LeadingRows(dense, rows), b, sh.lanes), got);
+      }
+      const Matrix dw = CsrMatMulLanesTransA(csr, g, sh.lanes);
+      ExpectBitwiseEqual(MatMulLanesTransA(dense, g, sh.lanes, /*a_shared=*/true), dw);
+      if (sh.lanes == 1) ExpectBitwiseEqual(MatMulTransA(dense, g), dw);
+      Matrix want = start;
+      GemmLanesTransAAccumRows(dense, g, &want, support, sh.lanes);
+      Matrix got = start;
+      CsrGemmTransAAccumRows(csr, g, &got, support);
+      ExpectBitwiseEqual(want, got);
+      if (sh.lanes == 1) {
+        Matrix narrow = start;
+        GemmTransAAccumRows(dense, g, &narrow, support);
+        ExpectBitwiseEqual(narrow, got);
+      }
+    }
+  }
+}
+
+TEST(CsrLeftProductTest, SparseTimesSparseEqualsSpmmOverDense) {
+  Rng rng(32);
+  std::vector<Triplet> triplets;
+  for (int i = 0; i < 2500; ++i) {
+    triplets.push_back({static_cast<int>(rng.UniformInt(350)),
+                        static_cast<int>(rng.UniformInt(500)), rng.Uniform()});
+  }
+  const CsrMatrix agg = CsrMatrix::FromTriplets(350, 500, triplets);
+  const Matrix dense = SparseDense(500, 96, 0.06, &rng);
+  const CsrMatrix x = CsrMatrix::FromDense(dense);
+  for (const auto& [kind, threads] :
+       std::vector<std::pair<BackendKind, int>>{{BackendKind::kReference, 1},
+                                                {BackendKind::kParallel, 3}}) {
+    ScopedBackend scoped(kind, threads);
+    Matrix want(350, 96);
+    agg.MultiplyAccum(dense, 1.0, &want);
+    Matrix got(350, 96);
+    agg.MultiplySparseAccum(x, &got);
+    ExpectBitwiseEqual(want, got);
+  }
+}
+
 TEST(BackendApplyTest, CoversRangeOnceUnderBothBackends) {
   for (const BackendKind kind : {BackendKind::kReference, BackendKind::kParallel}) {
     const auto backend = MakeBackend(kind, 3);

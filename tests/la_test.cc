@@ -129,6 +129,71 @@ TEST(CsrMatrixTest, TransposedIsCorrect) {
   EXPECT_DOUBLE_EQ(t.At(2, 1), -2.0);
 }
 
+// Two CSR matrices with identical arrays (not merely equal values).
+void ExpectSameCsr(const CsrMatrix& want, const CsrMatrix& got) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+}
+
+TEST(CsrMatrixTest, CountingTransposeMatchesTripletRoute) {
+  Rng rng(6);
+  std::vector<Triplet> triplets;
+  for (int i = 0; i < 3000; ++i) {
+    triplets.push_back({static_cast<int>(rng.UniformInt(90)),
+                        static_cast<int>(rng.UniformInt(70)), rng.Normal()});
+  }
+  const CsrMatrix m = CsrMatrix::FromTriplets(90, 75, triplets);  // empty cols
+  std::vector<Triplet> swapped;
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+      swapped.push_back({m.col_idx()[k], r, m.values()[k]});
+    }
+  }
+  ExpectSameCsr(CsrMatrix::FromTriplets(75, 90, swapped), m.Transposed());
+  ExpectSameCsr(CsrMatrix::FromTriplets(0, 4, {}), CsrMatrix(4, 0).Transposed());
+}
+
+TEST(CsrMatrixTest, FromDenseRoundTripsZeroRowsAndColumns) {
+  Rng rng(8);
+  Matrix dense(7, 5);
+  for (int r = 0; r < dense.rows(); ++r) {
+    for (int c = 0; c < dense.cols(); ++c) {
+      // Row 3 and column 2 stay all-zero; the rest is ~half nonzero.
+      if (r != 3 && c != 2 && rng.Bernoulli(0.5)) dense(r, c) = rng.Normal();
+    }
+  }
+  const CsrMatrix csr = CsrMatrix::FromDense(dense);
+  int64_t nonzeros = 0;
+  for (int64_t i = 0; i < dense.size(); ++i) nonzeros += dense.data()[i] != 0.0;
+  EXPECT_EQ(csr.nnz(), nonzeros);
+  EXPECT_EQ(csr.row_ptr()[4], csr.row_ptr()[3]);
+  const Matrix back = csr.ToDense();
+  for (int64_t i = 0; i < dense.size(); ++i) {
+    EXPECT_EQ(back.data()[i], dense.data()[i]) << "flat index " << i;
+  }
+  // Row selection keeps the listed order, repeats included.
+  const CsrMatrix picked = CsrMatrix::FromDenseRows(dense, {6, 3, 0, 6});
+  ASSERT_EQ(picked.rows(), 4);
+  for (int c = 0; c < dense.cols(); ++c) {
+    EXPECT_EQ(picked.At(0, c), dense(6, c));
+    EXPECT_EQ(picked.At(1, c), 0.0);
+    EXPECT_EQ(picked.At(2, c), dense(0, c));
+    EXPECT_EQ(picked.At(3, c), dense(6, c));
+  }
+  // FromCsr adopts the same arrays.
+  ExpectSameCsr(csr, CsrMatrix::FromCsr(csr.rows(), csr.cols(), csr.row_ptr(),
+                                        csr.col_idx(), csr.values()));
+}
+
+TEST(CsrMatrixDeathTest, FromCsrRejectsMalformedRows) {
+  // Columns out of order within a row, and a column out of range.
+  EXPECT_DEATH(CsrMatrix::FromCsr(1, 3, {0, 2}, {2, 1}, {1.0, 1.0}), "CHECK failed");
+  EXPECT_DEATH(CsrMatrix::FromCsr(1, 3, {0, 1}, {3}, {1.0}), "CHECK failed");
+}
+
 TEST(CsrMatrixTest, MultiplyAccumAddsScaled) {
   const CsrMatrix m = CsrMatrix::FromTriplets(2, 2, {{0, 0, 1.0}, {1, 1, 2.0}});
   const Matrix x = Matrix::FromRows({{1, 1}, {1, 1}});

@@ -43,6 +43,26 @@ TEST(InitTest, GlorotBoundsAndSpread) {
   EXPECT_NEAR(sum / w.size(), 0.0, 0.02);   // centred
 }
 
+TEST(GraphContextTest, SparseFeaturesRoundTripIncludingZeroRowAndColumn) {
+  data::NodeClassificationData data = ppfr::testing::SmallSbm(5);
+  for (int c = 0; c < data.features.cols(); ++c) data.features(7, c) = 0.0;
+  for (int v = 0; v < data.features.rows(); ++v) data.features(v, 3) = 0.0;
+  const GraphContext ctx = GraphContext::Build(data.graph, data.features);
+  const std::shared_ptr<const la::CsrMatrix>& csr = ctx.SparseFeatures();
+  ASSERT_NE(csr, nullptr);
+  EXPECT_EQ(csr->rows(), ctx.num_nodes());
+  EXPECT_EQ(csr->cols(), ctx.feature_dim());
+  EXPECT_EQ(csr->row_ptr()[8], csr->row_ptr()[7]);
+  const la::Matrix back = csr->ToDense();
+  for (int64_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back.data()[i], ctx.features.data()[i]) << "flat index " << i;
+  }
+  // Built once: later calls and copies of the context share it.
+  EXPECT_EQ(ctx.SparseFeatures().get(), csr.get());
+  const GraphContext copy = ctx;
+  EXPECT_EQ(copy.SparseFeatures().get(), csr.get());
+}
+
 TEST(GraphContextTest, BuildsAllOperators) {
   Fixture f;
   EXPECT_EQ(f.ctx.num_nodes(), f.data.graph.num_nodes());
@@ -159,12 +179,8 @@ TEST(GatConvTest, WarmReplayAndBackwardAllocateNoMatrices) {
   }
   const std::vector<double> ones(rows.size(), 1.0);
   const Block block = f.ctx.ExactBlock(ModelKind::kGat, outputs);
-  la::Matrix block_features(block.num_inputs(), f.ctx.feature_dim());
-  for (int i = 0; i < block.num_inputs(); ++i) {
-    for (int c = 0; c < block_features.cols(); ++c) {
-      block_features(i, c) = f.ctx.features(block.frontier[static_cast<size_t>(i)], c);
-    }
-  }
+  const auto block_features = std::make_shared<const la::CsrMatrix>(
+      la::CsrMatrix::FromDenseRows(f.ctx.features, block.frontier));
 
   for (const int lanes : {1, 3}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
@@ -183,7 +199,7 @@ TEST(GatConvTest, WarmReplayAndBackwardAllocateNoMatrices) {
                                static_cast<double>(rows.size()));
       }
       ag::Var logits =
-          model->ForwardBlock(tape, block, tape.StaticConstant(block_features), lanes);
+          model->ForwardBlock(tape, block, block_features, lanes);
       return ag::WeightedNllLanes(ag::LogSoftmaxRowsLanes(logits, lanes), rows, labels,
                                   ones, static_cast<double>(rows.size()), lanes);
     };

@@ -349,7 +349,8 @@ TEST(SampledTrainingDeathTest, GuardsMisuse) {
   const nn::Block block = sampler.SampleBlock({4, 9}, 0, 0);
   auto gcn = nn::MakeModel(nn::ModelKind::kGcn, 24, 3, 1);
   ag::Tape tape;
-  ag::Var x = tape.Constant(la::Matrix(block.num_inputs(), 24));
+  const auto x =
+      std::make_shared<const la::CsrMatrix>(block.num_inputs(), 24);
   EXPECT_DEATH(gcn->ForwardBlock(tape, block, x, 1),
                "GCN cannot run a GraphSage block");
 }
@@ -379,14 +380,9 @@ struct ParityFixture {
   // Targets of the node-loss sweep: train and non-train nodes alike.
   std::vector<int> Targets() const { return {split.train[0], 5, 77, split.train[3]}; }
 
-  la::Matrix BlockFeatures(const nn::Block& block) const {
-    la::Matrix x(block.num_inputs(), ctx.feature_dim());
-    for (int i = 0; i < x.rows(); ++i) {
-      for (int c = 0; c < x.cols(); ++c) {
-        x(i, c) = ctx.features(block.frontier[static_cast<size_t>(i)], c);
-      }
-    }
-    return x;
+  std::shared_ptr<const la::CsrMatrix> BlockFeatures(const nn::Block& block) const {
+    return std::make_shared<const la::CsrMatrix>(
+        la::CsrMatrix::FromDenseRows(ctx.features, block.frontier));
   }
 
   // Full-graph ∇θ of f(logits) for `m` at its current parameters.
@@ -554,7 +550,7 @@ TEST_P(ExactBlockParity, BlockForwardAndTrainingLossGradMatchFullGraph) {
   SetLaneValues(wide.get(), points);
   ag::Tape tape;
   const la::Matrix block_logits =
-      wide->ForwardBlock(tape, block, tape.Constant(fx.BlockFeatures(block)), lanes())
+      wide->ForwardBlock(tape, block, fx.BlockFeatures(block), lanes())
           .value();
   std::unique_ptr<nn::GnnModel> narrow = fx.model->Clone();
   for (int l = 0; l < lanes(); ++l) {
